@@ -32,10 +32,6 @@ class SignalInfo:
     width: int
     signed: bool = False
 
-    @property
-    def is_port(self):
-        return self.kind in ("input", "output", "inout")
-
 
 @dataclass(frozen=True)
 class Diagnostic:
@@ -151,24 +147,7 @@ def _fold_params(m: n.ModuleDecl):
             return n.Literal(value, width, pos=e.pos)
         return e
 
-    ports = tuple(replace(p, msb=n.map_expr(p.msb, fold), lsb=n.map_expr(p.lsb, fold))
-                  for p in m.ports)
-    nets = tuple(replace(d, msb=n.map_expr(d.msb, fold), lsb=n.map_expr(d.lsb, fold),
-                         init=n.map_expr(d.init, fold) if d.init is not None else None)
-                 for d in m.nets)
-    items = []
-    for item in m.items:
-        if isinstance(item, n.ContinuousAssign):
-            items.append(replace(item, lhs=n.map_expr(item.lhs, fold),
-                                 rhs=n.map_expr(item.rhs, fold)))
-        elif isinstance(item, n.ProcBlock):
-            items.append(replace(item, body=n.map_stmt_exprs(item.body, fold)))
-        elif isinstance(item, n.InstanceDecl):
-            items.append(replace(item, connections=tuple(
-                (pn, n.map_expr(e, fold)) for pn, e in item.connections)))
-        else:
-            items.append(item)
-    folded = n.ModuleDecl(m.name, ports, (), nets, tuple(items), pos=m.pos)
+    folded = replace(n.map_module(m, expr_fn=fold), params=())
     return folded, params
 
 

@@ -352,14 +352,10 @@ def negative_control(module: n.ModuleDecl, kind: str, seed: int = 0) -> n.Module
     return _wrong_var_update(module, rng)
 
 
-class _Done(Exception):
-    pass
-
-
 def _invert_condition(module, rng):
-    # sites are if-statements and ternaries, numbered in rebuild order
-    # (composite expressions are rebuilt bottom-up, so object identity
-    # cannot anchor the rewrite; an occurrence index can)
+    # sites are if-statements and ternaries, numbered in n.map_module's
+    # visit order (composite expressions are rebuilt bottom-up, so object
+    # identity cannot anchor the rewrite; an occurrence index can)
     def passes(pick):
         k = [0]
 
@@ -379,7 +375,7 @@ def _invert_condition(module, rng):
                     return n.Ternary(n.Unary("!", e.cond), e.then_expr, e.else_expr)
             return e
 
-        rebuilt = _rebuild(module, rw_stmt, rw_expr)
+        rebuilt = n.map_module(module, rw_stmt, rw_expr)
         return rebuilt, k[0]
 
     _, total = passes(-1)
@@ -444,7 +440,7 @@ def _perturb_literal(module, rng, in_clocked_condition):
             return n.Literal(new_value, target.width, target.signed, base=target.base)
         return e
 
-    return _rebuild(module, lambda s: s, rw_expr)
+    return n.map_module(module, expr_fn=rw_expr)
 
 
 def _wrong_var_update(module, rng):
@@ -490,52 +486,13 @@ def _wrong_var_update(module, rng):
                 return n.Ref(repl)
             return e
 
-        mutant = _rebuild(module, lambda s: s, rw_expr)
+        mutant = n.map_module(module, expr_fn=rw_expr)
         try:
             elaborate(mutant)
         except RtlmorphError:
             continue  # substitution formed a loop or broke widths
         return mutant
     raise NoApplicableSite("every substitution broke elaboration")
-
-
-def _rebuild(module, stmt_fn, expr_fn):
-    """Identity-preserving rebuild: expr_fn/stmt_fn fire on the exact node
-    objects collected during the scan."""
-    def map_e(e):
-        return n.map_expr(e, expr_fn)
-
-    def map_s(s):
-        if s is None:
-            return None
-        s2 = stmt_fn(s)
-        if s2 is not s:
-            return s2
-        if isinstance(s, n.Block):
-            return replace(s, stmts=tuple(map_s(c) for c in s.stmts))
-        if isinstance(s, n.If):
-            return replace(s, cond=map_e(s.cond), then_stmt=map_s(s.then_stmt),
-                           else_stmt=map_s(s.else_stmt))
-        if isinstance(s, n.Case):
-            return replace(s, subject=map_e(s.subject),
-                           arms=tuple(n.CaseArm(tuple(map_e(l) for l in a.labels),
-                                                map_s(a.body)) for a in s.arms),
-                           default=map_s(s.default))
-        if isinstance(s, (n.NonblockingAssign, n.BlockingAssign)):
-            return replace(s, rhs=map_e(s.rhs))
-        return s
-
-    nets = tuple(replace(d, init=map_e(d.init)) if d.init is not None else d
-                 for d in module.nets)
-    items = []
-    for item in module.items:
-        if isinstance(item, n.ContinuousAssign):
-            items.append(replace(item, rhs=map_e(item.rhs)))
-        elif isinstance(item, n.ProcBlock):
-            items.append(replace(item, body=map_s(item.body)))
-        else:
-            items.append(item)
-    return replace(module, nets=nets, items=tuple(items))
 
 
 # --- external formal flow --------------------------------------------------------

@@ -176,10 +176,6 @@ class NonzeroExit(RtlmorphError):
         super().__init__(f"tool exited with {returncode}:\n{log_excerpt}")
 
 
-class StatParseError(RtlmorphError):
-    pass
-
-
 class HttpError(RtlmorphError):
     pass
 

@@ -194,13 +194,6 @@ def evaluate(e: n.Expr, env, widths: dict) -> int:
     raise TypeError(f"cannot evaluate {e!r}")
 
 
-def eval_standalone(e: n.Expr, env, width_of, context=None) -> int:
-    """Annotate and evaluate in one go (used for predicates and one-offs)."""
-    widths = {}
-    annotate(e, width_of, widths, context)
-    return evaluate(e, env, widths)
-
-
 def const_value(e: n.Expr, params=None) -> int:
     """Evaluate a compile-time constant expression to an int."""
     v = try_const(e, params)

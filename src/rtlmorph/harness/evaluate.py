@@ -7,7 +7,6 @@ never numbers. Results files are byte-deterministic for fixed seeds and
 stub adapters (timestamps go to the run log, not the results).
 """
 
-import hashlib
 import json
 import os
 import time
@@ -17,7 +16,7 @@ from dataclasses import dataclass, field
 from .. import morph
 from ..elaborate import elaborate, lint_synthesizable
 from ..emitter import emit
-from ..equiv import EquivConfig, check_equivalence
+from ..equiv import EquivConfig, _mix, check_equivalence
 from ..errors import MutationError, RtlmorphError, ToolNotFound
 from ..metrics import (
     MetricSet, aggregate, normalize, ratios_to_jsonl, render_report,
@@ -36,11 +35,6 @@ STRATEGY_FOR_CATEGORY = {
     "timing_control": "fsm",
     "clock_domain": "clock",
 }
-
-
-def _mix(seed, *parts):
-    h = hashlib.sha256(repr((seed,) + parts).encode()).digest()
-    return int.from_bytes(h[:8], "big") >> 1
 
 
 @dataclass
@@ -139,7 +133,7 @@ def _reference_metrics(cfg, design_text, workdir):
     return structural_stats(parse(design_text))
 
 
-def _validate_candidate(candidate_text, base_module, offsets, clock_map, cfg):
+def _validate_candidate(candidate_text, base_module, cfg):
     """Parse, lint, and equivalence-gate an optimizer's output against the
     exact design it was asked to optimize."""
     try:
@@ -157,8 +151,7 @@ def _validate_candidate(candidate_text, base_module, offsets, clock_map, cfg):
         return candidate, None  # byte-equivalent modulo formatting
     equiv_cfg = EquivConfig(trials=cfg.trials, cycles=cfg.cycles,
                             reset_prologue=cfg.reset_prologue,
-                            seed=_mix(cfg.seed, "validate"),
-                            offsets={}, clock_map={})
+                            seed=_mix(cfg.seed, "validate"))
     try:
         verdict = check_equivalence(base_module, candidate, equiv_cfg)
     except RtlmorphError as exc:
@@ -178,7 +171,7 @@ def _eval_design(cfg, entry, adapters, out_dir):
     org_text = emit(module)
 
     strategy = cfg.strategies.get(entry.category)
-    variants = [("org", module, org_text, {}, {})]
+    variants = [("org", module, org_text)]
     if strategy:
         try:
             mutant, record = morph.mutate(module, strategy,
@@ -191,8 +184,7 @@ def _eval_design(cfg, entry, adapters, out_dir):
                 offsets=record.output_offsets, clock_map=record.clock_map)
             verdict = check_equivalence(module, mutant, equiv_cfg)
             if verdict.is_equivalent:
-                variants.append(("mut", mutant, mut_text,
-                                 record.output_offsets, record.clock_map))
+                variants.append(("mut", mutant, mut_text))
                 mutant_info = (mut_text, record)
             else:
                 exclusions.append((entry.design_id, "mut", "*",
@@ -209,7 +201,7 @@ def _eval_design(cfg, entry, adapters, out_dir):
                             verdict="equivalent", metrics=ref_metrics))
 
     for adapter in adapters:
-        for variant, base_module, base_text, offsets, clock_map in variants:
+        for variant, base_module, base_text in variants:
             tag = f"{entry.design_id}_{variant}_{adapter.id}"
             workdir = os.path.join(out_dir, "work", entry.design_id,
                                    f"{variant}_{adapter.id}")
@@ -239,8 +231,7 @@ def _eval_design(cfg, entry, adapters, out_dir):
                 exclusions.append((entry.design_id, variant, adapter.id, reason))
                 continue
 
-            candidate, problem = _validate_candidate(
-                candidate_text, base_module, offsets, clock_map, cfg)
+            candidate, problem = _validate_candidate(candidate_text, base_module, cfg)
             if candidate is None:
                 cells.append(CellResult(entry.design_id, variant, adapter.id,
                                         "excluded", reason=problem))

@@ -278,8 +278,7 @@ def cascade_mux(module: n.ModuleDecl, site: MuxSite) -> n.ModuleDecl:
                         return replace(s, then_stmt=replace(t, rhs=n.Ref(x_name)))
                 return s
 
-            new_body = _rewrite_stmts(item.body, rw)
-            return replace(item, body=new_body), hit[0]
+            return replace(item, body=n.map_stmt(item.body, rw)), hit[0]
         return item, False
 
     items = []
@@ -294,24 +293,6 @@ def cascade_mux(module: n.ModuleDecl, site: MuxSite) -> n.ModuleDecl:
     if not done:
         raise NoMuxFound(f"mux at {site.location} vanished")
     return replace(module, nets=module.nets + (stage,), items=tuple(items))
-
-
-def _rewrite_stmts(s, fn):
-    if s is None:
-        return None
-    out = fn(s)
-    if out is not s:
-        return out
-    if isinstance(s, n.Block):
-        return replace(s, stmts=tuple(_rewrite_stmts(c, fn) for c in s.stmts))
-    if isinstance(s, n.If):
-        return replace(s, then_stmt=_rewrite_stmts(s.then_stmt, fn),
-                       else_stmt=_rewrite_stmts(s.else_stmt, fn))
-    if isinstance(s, n.Case):
-        return replace(s, arms=tuple(n.CaseArm(a.labels, _rewrite_stmts(a.body, fn))
-                                     for a in s.arms),
-                       default=_rewrite_stmts(s.default, fn))
-    return s
 
 
 # --- composed strategy --------------------------------------------------------

@@ -255,7 +255,7 @@ def mutate_logic(module: n.ModuleDecl, cfg: LogicMutationConfig = None):
                 changed[0] = True
                 return replace(s, rhs=final)
 
-            new_items.append(replace(item, body=_map_stmts(item.body, rw)))
+            new_items.append(replace(item, body=n.map_stmt(item.body, rw)))
         else:
             new_items.append(item)
 
@@ -267,22 +267,6 @@ def mutate_logic(module: n.ModuleDecl, cfg: LogicMutationConfig = None):
     outputs = [p.name for p in module.ports if p.direction == "output"]
     record.with_offsets(outputs, 0)
     return mutant, record
-
-
-def _map_stmts(s, fn):
-    """Apply fn to every leaf statement, rebuilding containers."""
-    if s is None:
-        return None
-    if isinstance(s, n.Block):
-        return replace(s, stmts=tuple(_map_stmts(c, fn) for c in s.stmts))
-    if isinstance(s, n.If):
-        return replace(s, then_stmt=_map_stmts(s.then_stmt, fn),
-                       else_stmt=_map_stmts(s.else_stmt, fn))
-    if isinstance(s, n.Case):
-        return replace(s, arms=tuple(n.CaseArm(a.labels, _map_stmts(a.body, fn))
-                                     for a in s.arms),
-                       default=_map_stmts(s.default, fn))
-    return fn(s)
 
 
 def _width_map(module: n.ModuleDecl):

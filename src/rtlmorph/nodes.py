@@ -408,27 +408,78 @@ def map_expr(e: Expr, fn):
     return fn(e)
 
 
-def map_stmt_exprs(s: Stmt, fn):
-    """Rebuild a statement tree, applying map_expr(fn) to every expression."""
+def _map_opt(e, fn):
+    return map_expr(e, fn) if e is not None and fn is not None else e
+
+
+def _with(node, **fields):
+    """replace(), but node itself when every field is the object it holds."""
+    for k, v in fields.items():
+        if getattr(node, k) is not v:
+            return replace(node, **fields)
+    return node
+
+
+def map_stmt(s: Stmt, stmt_fn=None, expr_fn=None):
+    """Rebuild a statement tree pre-order.
+
+    stmt_fn sees each statement before its children; a result that is a
+    different object replaces the whole subtree, which is not visited
+    further. Otherwise containers are rebuilt and, when expr_fn is given,
+    each expression the statement holds directly goes through
+    map_expr(expr_fn). Visit order: an If's cond, then branch, else
+    branch; a Case's subject, then per arm its labels and its body, then
+    the default; an assignment's lhs, then its rhs. With expr_fn=None,
+    expressions are kept as they are.
+    """
     if s is None:
         return None
+    if stmt_fn is not None:
+        out = stmt_fn(s)
+        if out is not s:
+            return out
     if isinstance(s, Block):
-        return replace(s, stmts=tuple(map_stmt_exprs(c, fn) for c in s.stmts))
+        return replace(s, stmts=tuple(map_stmt(c, stmt_fn, expr_fn) for c in s.stmts))
     if isinstance(s, If):
-        return replace(s, cond=map_expr(s.cond, fn),
-                       then_stmt=map_stmt_exprs(s.then_stmt, fn),
-                       else_stmt=map_stmt_exprs(s.else_stmt, fn))
+        return replace(s, cond=_map_opt(s.cond, expr_fn),
+                       then_stmt=map_stmt(s.then_stmt, stmt_fn, expr_fn),
+                       else_stmt=map_stmt(s.else_stmt, stmt_fn, expr_fn))
     if isinstance(s, Case):
-        return replace(
-            s,
-            subject=map_expr(s.subject, fn),
-            arms=tuple(CaseArm(tuple(map_expr(l, fn) for l in a.labels),
-                               map_stmt_exprs(a.body, fn)) for a in s.arms),
-            default=map_stmt_exprs(s.default, fn),
-        )
+        return replace(s, subject=_map_opt(s.subject, expr_fn),
+                       arms=tuple(CaseArm(tuple(_map_opt(l, expr_fn) for l in a.labels),
+                                          map_stmt(a.body, stmt_fn, expr_fn))
+                                  for a in s.arms),
+                       default=map_stmt(s.default, stmt_fn, expr_fn))
     if isinstance(s, (NonblockingAssign, BlockingAssign)):
-        return replace(s, lhs=map_expr(s.lhs, fn), rhs=map_expr(s.rhs, fn))
+        return _with(s, lhs=_map_opt(s.lhs, expr_fn), rhs=_map_opt(s.rhs, expr_fn))
     return s
+
+
+def map_module(m: ModuleDecl, stmt_fn=None, expr_fn=None):
+    """Rebuild a module through map_stmt and map_expr.
+
+    Visit order: each port's msb and lsb; each net's msb, lsb and init;
+    then the items in order: a continuous assign's lhs then rhs, a process
+    body through map_stmt, an instance's connections. Parameter values are
+    left as they are. Negative controls number their sites in this order,
+    so changing it changes which site a control seed picks.
+    """
+    def e(x):
+        return _map_opt(x, expr_fn)
+
+    ports = tuple(_with(p, msb=e(p.msb), lsb=e(p.lsb)) for p in m.ports)
+    nets = tuple(_with(d, msb=e(d.msb), lsb=e(d.lsb), init=e(d.init)) for d in m.nets)
+    items = []
+    for item in m.items:
+        if isinstance(item, ContinuousAssign):
+            item = _with(item, lhs=e(item.lhs), rhs=e(item.rhs))
+        elif isinstance(item, ProcBlock):
+            item = replace(item, body=map_stmt(item.body, stmt_fn, expr_fn))
+        elif isinstance(item, InstanceDecl):
+            item = replace(item, connections=tuple(
+                (name, e(x)) for name, x in item.connections))
+        items.append(item)
+    return replace(m, ports=ports, nets=nets, items=tuple(items))
 
 
 def lvalue_base(lhs: Expr) -> str:

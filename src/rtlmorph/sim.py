@@ -44,9 +44,6 @@ class Trace:
     def __len__(self):
         return len(self.steps)
 
-    def column(self, name):
-        return [s[name] for s in self.steps]
-
 
 class BranchCounters:
     """Optional instrumentation: per-labeled-if (then, else) hit counts."""

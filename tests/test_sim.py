@@ -6,7 +6,7 @@ import pytest
 
 from rtlmorph import nodes as n
 from rtlmorph import parse, elaborate, instantiate, Stimulus
-from rtlmorph.errors import UnsupportedConstruct
+from rtlmorph.errors import SettleDivergence, UnsupportedConstruct
 from rtlmorph.traceio import (
     emit_cosim_bundle, parse_cosim_output, stimulus_to_csv, trace_to_csv,
     write_vcd,
@@ -192,6 +192,35 @@ endmodule
     out = inst.eval({"clk": 1, "a": 1})
     assert out["y"] == 0b1101
 
+
+
+def test_bit_chain_within_one_signal_needs_the_settle_fixpoint():
+    # elaboration drops the base signal from a part-select assign's reads,
+    # so x[1] <- x[0] is not ordered and one pass of the comb units is short
+    text = """module t(input wire a, output wire [1:0] y);
+    wire [1:0] x;
+    assign x[1:0] = {x[0], a};
+    assign y = x;
+endmodule
+"""
+    inst = instantiate(elaborate(parse(text)))
+    state = dict.fromkeys(inst.cm.signal_names, 0)
+    state["a"] = 1
+    for f in inst.cm.comb_fns:
+        f(state, inst.hooks)
+    assert state["y"] == 1
+    assert inst.eval({"a": 1})["y"] == 3
+
+
+def test_bit_loop_within_one_signal_diverges():
+    text = """module t(input wire a, output wire y);
+    wire [1:0] x;
+    assign x[0] = ~x[0];
+    assign y = x[0];
+endmodule
+"""
+    with pytest.raises(SettleDivergence):
+        instantiate(elaborate(parse(text)))
 
 def test_instances_not_simulatable():
     text = """module leaf(input wire a, output wire y);
