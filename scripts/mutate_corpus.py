@@ -9,6 +9,7 @@ and write everything (with mutation-record sidecars) to a directory.
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -33,20 +34,19 @@ def main():
     manifest = load_manifest(os.path.join(os.path.dirname(__file__), "..",
                                           "corpus", "manifest.txt"))
     os.makedirs(args.out, exist_ok=True)
+    base = EquivConfig(seed=args.seed, trials=args.trials, cycles=args.cycles)
     for entry in manifest.entries:
         module = entry.load().module(entry.top)
+        original = nodes.SourceUnit((module,))
         for strategy in morph.STRATEGIES:
             try:
                 mutant, record = morph.mutate(module, strategy, seed=args.seed)
             except MutationError as exc:
                 print(f"{entry.design_id}/{strategy}: inapplicable ({exc})")
                 continue
-            cfg = EquivConfig(seed=args.seed, trials=args.trials,
-                              cycles=args.cycles,
-                              offsets=record.output_offsets,
-                              clock_map=record.clock_map)
-            verdict = check_equivalence(nodes.SourceUnit((module,)),
-                                        nodes.SourceUnit((mutant,)), cfg)
+            cfg = replace(base, offsets=record.output_offsets,
+                          clock_map=record.clock_map)
+            verdict = check_equivalence(original, nodes.SourceUnit((mutant,)), cfg)
             stem = os.path.join(args.out, f"{entry.design_id}.{strategy}")
             with open(stem + ".v", "w", encoding="utf-8") as f:
                 f.write(emit(mutant))
@@ -58,9 +58,11 @@ def main():
                 broken = negative_control(module, kind, seed=args.seed)
             except NoApplicableSite:
                 continue
+            verdict = check_equivalence(original, nodes.SourceUnit((broken,)), base)
             stem = os.path.join(args.out, f"{entry.design_id}.neg_{kind}")
             with open(stem + ".v", "w", encoding="utf-8") as f:
                 f.write(emit(broken))
+            print(f"{entry.design_id}/neg_{kind}: {verdict.status}")
     return 0
 
 

@@ -87,7 +87,8 @@ def cmd_verify(args):
     cfg = EquivConfig(trials=trials, cycles=cycles, seed=seed,
                       offsets=offsets, clock_map=clock_map)
     try:
-        verdict = check_equivalence(unit_a, unit_b, cfg)
+        design_a = elaborate(unit_a)
+        verdict = check_equivalence(design_a, unit_b, cfg)
     except RtlmorphError as exc:
         print(f"cannot compare: {exc}", file=sys.stderr)
         return 1
@@ -97,13 +98,12 @@ def cmd_verify(args):
               "vectors/cycles)")
         return 0
     if verdict.status == "inequivalent":
-        ev = verdict.evidence
-        print(f"INEQUIVALENT: {ev.get('signal')} diverges "
+        ev, cex = verdict.evidence, verdict.counterexample
+        print(f"INEQUIVALENT: {cex.signal} diverges "
               f"(cycle {ev.get('cycle', ev.get('inputs'))})")
-        if verdict.counterexample is not None:
-            outdir = args.evidence_dir or "counterexample"
-            paths = verdict.counterexample.export(outdir)
-            print(f"counterexample: {paths['vcd']}, {paths['csv']}")
+        widths = {name: s.width for name, s in design_a.top_module.signals.items()}
+        paths = cex.export(args.evidence_dir or "counterexample", widths)
+        print(f"counterexample: {paths['vcd']}, {paths['csv']}")
         return 3
     print(f"INCONCLUSIVE: {verdict.evidence.get('reason', 'budget exhausted')}")
     return 4

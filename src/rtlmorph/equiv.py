@@ -78,14 +78,12 @@ class Counterexample:
 
 @dataclass(frozen=True)
 class EquivConfig:
-    mode: str = "auto"  # "auto" | "exhaustive" | "random"
     trials: int = 16
     cycles: int = 2000
     seed: int = 0
     reset_prologue: int = 4
     offsets: dict = field(default_factory=dict)
     clock_map: dict = field(default_factory=dict)
-    reset_storm_trials: int = 1
 
     def __post_init__(self):
         if self.reset_prologue < 1:
@@ -171,128 +169,92 @@ def check_comb_exhaustive(a, b) -> EquivalenceVerdict:
 # --- randomized sequential check ----------------------------------------------
 
 
-def _clocks_and_resets(em, clocks=None, resets=None):
-    if clocks is None:
-        clocks = em.clocks()
-    if resets is None:
-        resets = em.async_resets()
+def _clocks_and_resets(em):
     input_names = {s.name for s in em.inputs}
-    return [c for c in clocks if c in input_names], \
-        [r for r in resets if r in input_names]
+    return [c for c in em.clocks() if c in input_names], \
+        [r for r in em.async_resets() if r in input_names]
 
 
-def _build_cycles(ins, clocks, resets, cycles, prologue, rng, storm):
-    """Per-cycle data/reset values; clocks are toggled by the runner."""
-    data_names = [name for name, _ in ins
-                  if name not in clocks and name not in resets]
-    widths = dict(ins)
-    storm_at = cycles // 2 if storm and cycles > 2 * prologue + 4 else None
-    out = []
-    for t in range(cycles):
+def _cycles(ins, clocks, resets, cfg, rng, storm):
+    """Yield (data and reset values, in_reset) per cycle, drawing the data
+    inputs from `rng` in port order; clocks are toggled by the caller."""
+    data = [(name, w) for name, w in ins if name not in clocks and name not in resets]
+    prologue = cfg.reset_prologue
+    storm_at = cfg.cycles // 2 if storm and cfg.cycles > 2 * prologue + 4 else None
+    for t in range(cfg.cycles):
         in_reset = t < prologue or (storm_at is not None and
                                     storm_at <= t < storm_at + prologue)
-        vals = {name: rng.getrandbits(widths[name]) for name in data_names}
+        vals = {name: rng.getrandbits(w) for name, w in data}
         for r in resets:
             vals[r] = 1 if in_reset else 0
-        out.append((vals, in_reset))
-    return out
+        yield vals, in_reset
 
 
-def _steps_for(cycle_vals, clocks, clock_map, extra_inputs):
-    """Two steps per cycle: clock low with fresh data, then clock high."""
-    steps = []
-    for vals, _ in cycle_vals:
-        for phase in (0, 1):
-            step = dict(vals)
-            for c in clocks:
-                step[c] = phase
-            for extra in extra_inputs:
-                step[extra] = step[clock_map[extra]]
-            steps.append(step)
-    return steps
-
-
-def check_seq_random(a, b, cfg: EquivConfig = None, clocks=None, resets=None) \
-        -> EquivalenceVerdict:
-    """Seeded random trials with reset prologue; per-cycle comparison at
-    posedge samples, aligned by the declared per-output offsets."""
+def check_seq_random(a, b, cfg: EquivConfig = None) -> EquivalenceVerdict:
+    """Seeded random trials with a reset prologue. Each cycle is drawn as
+    the trial runs and takes two steps on a clocked design (clock low with
+    fresh data, then clock high) or one step otherwise. Outputs are
+    compared at the cycle's last step, aligned by the declared per-output
+    offsets outside reset and directly inside it. Trial 0 also carries a
+    reset storm: a second reset burst mid-run."""
     cfg = cfg or EquivConfig()
     ea, eb = _design(a), _design(b)
     ma, mb = ea.top_module, eb.top_module
     ins, outs = _check_ports(ma, mb, cfg.clock_map)
-    clocks, resets = _clocks_and_resets(ma, clocks, resets)
-    extra_inputs = [s.name for s in mb.inputs if s.name not in {x for x, _ in ins}]
+    clocks, resets = _clocks_and_resets(ma)
+    names_a = {name for name, _ in ins}
+    extra = {s.name: cfg.clock_map[s.name] for s in mb.inputs
+             if s.name not in names_a}
     if cfg.trials < 1 or cfg.cycles < 1:
         return EquivalenceVerdict("inconclusive", {"reason": "empty budget"})
 
     out_names = [name for name, _ in outs]
     offsets = {name: cfg.offsets.get(name, 0) for name in out_names}
-    seeds = []
-    total_cycles = 0
-    for trial in range(cfg.trials):
-        seed = _mix(cfg.seed, "trial", trial)
-        seeds.append(seed)
-        rng = Random(seed)
-        storm = trial < cfg.reset_storm_trials
-        cycle_vals = _build_cycles(ins, clocks, resets, cfg.cycles,
-                                   cfg.reset_prologue, rng, storm)
-        steps_a = _steps_for(cycle_vals, clocks, {}, [])
-        steps_b = _steps_for(cycle_vals, clocks, cfg.clock_map, extra_inputs)
+    phases = (0, 1) if clocks else (0,)
+    seeds = [_mix(cfg.seed, "trial", trial) for trial in range(cfg.trials)]
+    for trial, seed in enumerate(seeds):
         ia, ib = SimInstance(ea), SimInstance(eb)
-        hist_a = []
-        hist_b = []
+        steps_a, steps_b, hist_a = [], [], []
         last_reset = -1
-        per_cycle = 2 if clocks else 1
-        if not clocks:
-            steps_a = [vals for vals, _ in cycle_vals]
-            steps_b = [dict(vals, **{e: vals[cfg.clock_map[e]] for e in extra_inputs})
-                       for vals, _ in cycle_vals]
-        for t, (vals, in_reset) in enumerate(cycle_vals):
-            for p in range(per_cycle):
-                oa = ia.eval(steps_a[t * per_cycle + p])
-                ob = ib.eval(steps_b[t * per_cycle + p])
+        # one storm per check tests recovery from a mid-run reset; the
+        # other trials keep every cycle after the prologue for data
+        for t, (vals, in_reset) in enumerate(
+                _cycles(ins, clocks, resets, cfg, Random(seed), trial == 0)):
+            for phase in phases:
+                step_a = dict(vals)
+                for c in clocks:
+                    step_a[c] = phase
+                step_b = step_a
+                if extra:
+                    step_b = dict(step_a)
+                    for e, src in extra.items():
+                        step_b[e] = step_a[src]
+                steps_a.append(step_a)
+                steps_b.append(step_b)
+                oa = ia.eval(step_a)
+                ob = ib.eval(step_b)
             hist_a.append(oa)
-            hist_b.append(ob)
-            if in_reset:
-                # both sides are clamped by the asynchronous reset, so
-                # outputs must agree directly (offset 0) even here
-                last_reset = t
-                for name in out_names:
-                    if ob[name] != oa[name]:
-                        stim_a = Stimulus(tuple(steps_a[:(t + 1) * per_cycle]))
-                        stim_b = Stimulus(tuple(steps_b[:(t + 1) * per_cycle]))
-                        cex = Counterexample(
-                            stim_a, stim_b, cycle=t,
-                            step_a=(t + 1) * per_cycle - 1,
-                            step_b=(t + 1) * per_cycle - 1, signal=name,
-                            expected=oa[name], actual=ob[name])
-                        return EquivalenceVerdict(
-                            "inequivalent",
-                            {"trial": trial, "cycle": t, "signal": name,
-                             "offset": 0, "seed": seed, "in_reset": True},
-                            cex)
-                continue
             for name in out_names:
-                k = offsets[name]
-                if t - k <= last_reset:
+                # both sides are clamped by the asynchronous reset, so
+                # inside it outputs must agree directly (offset 0)
+                k = 0 if in_reset else offsets[name]
+                if t - k <= last_reset or ob[name] == hist_a[t - k][name]:
                     continue
-                if hist_b[t][name] != hist_a[t - k][name]:
-                    stim_a = Stimulus(tuple(steps_a[:(t + 1) * per_cycle]))
-                    stim_b = Stimulus(tuple(steps_b[:(t + 1) * per_cycle]))
-                    cex = Counterexample(
-                        stim_a, stim_b, cycle=t,
-                        step_a=(t - k + 1) * per_cycle - 1,
-                        step_b=(t + 1) * per_cycle - 1, signal=name,
-                        expected=hist_a[t - k][name], actual=hist_b[t][name])
-                    return EquivalenceVerdict(
-                        "inequivalent",
-                        {"trial": trial, "cycle": t, "signal": name,
-                         "offset": k, "seed": seed},
-                        cex)
-        total_cycles += cfg.cycles
+                evidence = {"trial": trial, "cycle": t, "signal": name,
+                            "offset": k, "seed": seed}
+                if in_reset:
+                    evidence["in_reset"] = True
+                cex = Counterexample(
+                    Stimulus(steps_a), Stimulus(steps_b), cycle=t,
+                    step_a=(t - k + 1) * len(phases) - 1,
+                    step_b=len(steps_b) - 1, signal=name,
+                    expected=hist_a[t - k][name], actual=ob[name])
+                return EquivalenceVerdict("inequivalent", evidence, cex)
+            if in_reset:
+                last_reset = t
     return EquivalenceVerdict("equivalent", {
         "mode": "random-bounded", "trials": cfg.trials,
-        "cycles_per_trial": cfg.cycles, "total_cycles": total_cycles,
+        "cycles_per_trial": cfg.cycles, "total_cycles": cfg.trials * cfg.cycles,
         "seeds": seeds, "note": "bounded evidence, not a proof",
     })
 
@@ -305,7 +267,7 @@ def check_equivalence(a, b, cfg: EquivConfig = None) -> EquivalenceVerdict:
     comb = not any(blk.kind == "clocked" for blk in ma.blocks) and \
         not any(blk.kind == "clocked" for blk in mb.blocks)
     total = sum(s.width for s in ma.inputs)
-    if cfg.mode == "exhaustive" or (cfg.mode == "auto" and comb and total <= 20):
+    if comb and total <= 20:
         return check_comb_exhaustive(ea, eb)
     return check_seq_random(ea, eb, cfg)
 

@@ -32,10 +32,6 @@ from test_sim import clocked_stimulus
 DEFAULT_BUDGET = dict(trials=16, cycles=2000, reset_prologue=4)
 
 
-def _clock_inputs(entry):
-    return dict(clocks=None, resets=None)
-
-
 def test_criterion_1_metamorphic_equivalence(manifest, corpus_modules, all_mutants):
     """Every applicable strategy mutant is Equivalent at the stated budget."""
     t0 = time.time()

@@ -94,6 +94,20 @@ def test_verify_inequivalent_with_evidence(tmp_path):
     assert "counterexample.vcd" in r.stdout
 
 
+def test_verify_combinational_counterexample(tmp_path):
+    """The exhaustive check's evidence has no signal; the counterexample
+    names it, and the VCD declares each input at its elaborated width."""
+    altered = tmp_path / "alu_xor.v"
+    altered.write_text(open(design_path("alu_small")).read()
+                       .replace("a & b", "a ^ b"))
+    r = cli("verify", design_path("alu_small"), str(altered), "--seed", "1",
+            "--evidence-dir", str(tmp_path / "cex"))
+    assert r.returncode == 3
+    assert "INEQUIVALENT: result diverges" in r.stdout
+    vcd = (tmp_path / "cex" / "counterexample.vcd").read_text()
+    assert "$var wire 8" in vcd and "$var wire 2" in vcd
+
+
 def test_verify_inconclusive_budget():
     r = cli("verify", design_path("counter"), design_path("counter"),
             "--seed", "1", "--budget", "0x0")
