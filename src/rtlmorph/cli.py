@@ -99,8 +99,8 @@ def cmd_verify(args):
         return 0
     if verdict.status == "inequivalent":
         ev, cex = verdict.evidence, verdict.counterexample
-        print(f"INEQUIVALENT: {cex.signal} diverges "
-              f"(cycle {ev.get('cycle', ev.get('inputs'))})")
+        where = f"cycle {ev['cycle']}" if "cycle" in ev else f"inputs {ev['inputs']}"
+        print(f"INEQUIVALENT: {cex.signal} diverges ({where})")
         widths = {name: s.width for name, s in design_a.top_module.signals.items()}
         paths = cex.export(args.evidence_dir or "counterexample", widths)
         print(f"counterexample: {paths['vcd']}, {paths['csv']}")
@@ -205,7 +205,9 @@ def build_parser():
     r.add_argument("--seed", type=int, default=None)
     r.add_argument("--trials", type=int, default=16)
     r.add_argument("--cycles", type=int, default=2000)
-    r.add_argument("--jobs", type=int, default=1)
+    r.add_argument("--jobs", type=int, default=1,
+                   help="worker threads; they overlap adapter I/O only and do "
+                        "not speed up CPU-bound runs such as the identity adapter's")
     r.set_defaults(func=cmd_run)
 
     l = sub.add_parser("lint", help="synthesizability diagnostics as JSONL")

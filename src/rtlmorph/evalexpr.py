@@ -194,6 +194,19 @@ def evaluate(e: n.Expr, env, widths: dict) -> int:
     raise TypeError(f"cannot evaluate {e!r}")
 
 
+# One function per operator: folding a node computes only its own operator.
+_CONST_BINARY = {
+    "+": lambda l, r: l + r, "-": lambda l, r: l - r, "*": lambda l, r: l * r,
+    "&": lambda l, r: l & r, "|": lambda l, r: l | r, "^": lambda l, r: l ^ r,
+    "<<": lambda l, r: l << r if r < 1024 else 0, ">>": lambda l, r: l >> r,
+    "==": lambda l, r: int(l == r), "!=": lambda l, r: int(l != r),
+    "<": lambda l, r: int(l < r), "<=": lambda l, r: int(l <= r),
+    ">": lambda l, r: int(l > r), ">=": lambda l, r: int(l >= r),
+    "&&": lambda l, r: int(bool(l) and bool(r)),
+    "||": lambda l, r: int(bool(l) or bool(r)),
+}
+
+
 def const_value(e: n.Expr, params=None) -> int:
     """Evaluate a compile-time constant expression to an int."""
     v = try_const(e, params)
@@ -231,15 +244,5 @@ def try_const(e: n.Expr, params=None):
         r = try_const(e.rhs, params)
         if l is None or r is None:
             return None
-        lv, rv = l[0], r[0]
-        ops = {
-            "+": lv + rv, "-": lv - rv, "*": lv * rv,
-            "&": lv & rv, "|": lv | rv, "^": lv ^ rv,
-            "<<": lv << rv if rv < 1024 else 0, ">>": lv >> rv,
-            "==": int(lv == rv), "!=": int(lv != rv),
-            "<": int(lv < rv), "<=": int(lv <= rv),
-            ">": int(lv > rv), ">=": int(lv >= rv),
-            "&&": int(bool(lv) and bool(rv)), "||": int(bool(lv) or bool(rv)),
-        }
-        return (ops[e.op], None)
+        return (_CONST_BINARY[e.op](l[0], r[0]), None)
     return None

@@ -47,21 +47,23 @@ _TEMPLATES = (
 
 def check_tautology(pred: n.Expr, support, width_of) -> bool:
     """Exhaustive truth over every assignment to the support signals."""
-    from ..evalexpr import annotate, evaluate
-    names = list(support)
-    total = sum(width_of(s) for s in names)
+    from ..evalexpr import annotate
+    from ..sim import _compile_expr
+    fields, total = [], 0
+    for s in support:
+        w = width_of(s)
+        fields.append((s, total, (1 << w) - 1))
+        total += w
     if total > TAUTOLOGY_WIDTH_CAP:
         return False
     widths = {}
     annotate(pred, width_of, widths)
+    f = _compile_expr(pred, widths)
     env = {}
     for v in range(1 << total):
-        off = 0
-        for s in names:
-            w = width_of(s)
-            env[s] = (v >> off) & ((1 << w) - 1)
-            off += w
-        if evaluate(pred, env, widths) != 1:
+        for s, off, mask in fields:
+            env[s] = (v >> off) & mask
+        if f(env) != 1:
             return False
     return True
 

@@ -24,6 +24,7 @@ from ..errors import (
     NoTimer, NoTimerOnEdge, PartitionMismatch,
 )
 from ..evalexpr import try_const
+from .logic import _module_params, _width_map
 from .record import MutationRecord, fresh_name
 
 
@@ -301,15 +302,6 @@ def _parse_arm(state_name, body, state_reg, params, value_to_name):
     return None
 
 
-def _collect_params(module):
-    params = {}
-    for p in module.params:
-        got = try_const(p.value, params)
-        if got is not None:
-            params[p.name] = got
-    return params
-
-
 def _reg_usage_ok(module, state_reg, clocked_index, moore_indexes):
     """state_reg may appear only in its clocked block and as the case
     subject of the recognized moore blocks."""
@@ -333,7 +325,7 @@ def _reg_usage_ok(module, state_reg, clocked_index, moore_indexes):
     return True
 
 
-def _lift_moore(module, state_reg, value_to_name, clocked_index):
+def _lift_moore(module, state_reg, value_to_name, clocked_index, params):
     """Recognize comb blocks casing on the state register."""
     blocks = []
     per_state = {name: {} for name in value_to_name.values()}
@@ -361,7 +353,6 @@ def _lift_moore(module, state_reg, value_to_name, clocked_index):
                     if state_reg in n.refs_in(e):
                         return None  # reads state outside the case idiom
             continue
-        params = _collect_params(module)
         for arm in case.arms:
             if len(arm.labels) != 1:
                 return None
@@ -375,7 +366,7 @@ def _lift_moore(module, state_reg, value_to_name, clocked_index):
 
 def detect_fsm(module: n.ModuleDecl, state_reg: Optional[str] = None) -> FsmModel:
     """Lift the FSM idiom; raises FsmNotFound / AmbiguousFsm."""
-    params = _collect_params(module)
+    params = _module_params(module)
     reg_names = {d.name for d in module.nets if d.kind == "reg"}
 
     candidates = []
@@ -423,7 +414,7 @@ def detect_fsm(module: n.ModuleDecl, state_reg: Optional[str] = None) -> FsmMode
         value_to_name[v] = name
         labels.append((name, v, label_expr))
 
-    moore = _lift_moore(module, reg, value_to_name, idx)
+    moore = _lift_moore(module, reg, value_to_name, idx, params)
     if moore is None:
         raise FsmNotFound(f"{reg} is used outside the recognizable idiom")
     moore_blocks, moore_per_state = moore
@@ -462,17 +453,12 @@ def detect_fsm(module: n.ModuleDecl, state_reg: Optional[str] = None) -> FsmMode
         if consts:
             reset_state = value_to_name.get(consts[0])
 
-    sw = _module_width(module, reg)
+    sw = _width_map(module, params)(reg)
     return FsmModel(
         module=module, state_reg=reg, state_width=sw,
         reset_state=reset_state, reset_cond=reset_cond, reset_stmt=reset_stmt,
         pre_case=pre, states=tuple(states), transitions=tuple(transitions),
         timers=dict(timers), moore_blocks=moore_blocks, clocked_index=idx)
-
-
-def _module_width(module, name):
-    from .logic import _width_map
-    return _width_map(module)(name)
 
 
 # --- transforms ---------------------------------------------------------------
@@ -667,7 +653,8 @@ def lower(fsm: FsmModel, force: bool = False) -> n.ModuleDecl:
         return fsm.module
     module = fsm.module
     width = max(max(s.value for s in fsm.states).bit_length(), 1)
-    counter_width = _counter_width(fsm)
+    width_of = _width_map(module)
+    counter_width = _counter_width(fsm, width_of)
 
     params = list(module.params)
     existing_params = {p.name for p in params}
@@ -679,7 +666,7 @@ def lower(fsm: FsmModel, force: bool = False) -> n.ModuleDecl:
 
     nets = []
     for d in module.nets:
-        if d.name == fsm.state_reg and _module_width(module, d.name) < width:
+        if d.name == fsm.state_reg and width_of(d.name) < width:
             nets.append(replace(d, msb=n.Literal(width - 1), lsb=n.Literal(0)))
         else:
             nets.append(d)
@@ -721,11 +708,11 @@ def lower(fsm: FsmModel, force: bool = False) -> n.ModuleDecl:
                         tuple(nets), tuple(items), pos=module.pos)
 
 
-def _counter_width(fsm):
+def _counter_width(fsm, width_of):
     counters = {t.counter for t in fsm.timers.values()}
     if not counters:
         return 1
-    return max(_module_width(fsm.module, c) for c in counters)
+    return max(width_of(c) for c in counters)
 
 
 # --- composed strategy ----------------------------------------------------------

@@ -269,14 +269,24 @@ def mutate_logic(module: n.ModuleDecl, cfg: LogicMutationConfig = None):
     return mutant, record
 
 
-def _width_map(module: n.ModuleDecl):
-    from ..evalexpr import const_value, try_const
+def _module_params(module: n.ModuleDecl):
+    """{name: (value, width)} for every parameter that folds to a constant."""
+    from ..evalexpr import try_const
 
     params = {}
     for p in module.params:
         got = try_const(p.value, params)
         if got is not None:
             params[p.name] = got
+    return params
+
+
+def _width_map(module: n.ModuleDecl, params=None):
+    """width_of(name) over ports and nets; pass `params` if already folded."""
+    from ..evalexpr import const_value
+
+    if params is None:
+        params = _module_params(module)
     widths = {}
     for d in list(module.ports) + list(module.nets):
         widths[d.name] = const_value(d.msb, params) - const_value(d.lsb, params) + 1

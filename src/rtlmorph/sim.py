@@ -4,12 +4,14 @@ Registers start at zero, clocks are ordinary inputs toggled by the
 stimulus, and nonblocking assignment semantics are honored by collecting
 register updates against pre-update values before applying them. Modules
 compile once into closures; instances share the compiled form but never
-share mutable state.
+share mutable state. Branch counters bind at compile time, so an instance
+built with them compiles its own form.
 
-Step order inside eval(): apply new input values, settle combinational
-logic, fire every block whose sensitivity saw a matching transition
-(reading pre-update register values), apply the collected updates, settle
-again, sample outputs.
+Step order inside eval(): find every block whose sensitivity sees a
+matching transition (an edge is a change of a clock input from its value
+at the previous step), apply the new input values, settle combinational
+logic, fire the found blocks (reading pre-update register values), apply
+the collected updates, settle again, sample outputs.
 """
 
 from dataclasses import dataclass
@@ -17,6 +19,7 @@ from dataclasses import dataclass
 from . import nodes as n
 from .elaborate import ElaboratedDesign, ElaboratedModule, elaborate
 from .errors import NoSuchModule, RtlmorphError, SettleDivergence, UnsupportedConstruct
+from .evalexpr import const_value
 
 SETTLE_CAP = 10_000
 
@@ -59,7 +62,7 @@ class BranchCounters:
 # --- compilation -----------------------------------------------------------
 
 
-def _compile_expr(e, widths, C):
+def _compile_expr(e, widths):
     w = widths[id(e)]
     mask = (1 << w) - 1
     if isinstance(e, n.Literal):
@@ -69,7 +72,7 @@ def _compile_expr(e, widths, C):
         name = e.name
         return lambda s: s[name]
     if isinstance(e, n.Unary):
-        f = _compile_expr(e.operand, widths, C)
+        f = _compile_expr(e.operand, widths)
         if e.op == "~":
             return lambda s: (~f(s)) & mask
         if e.op == "-":
@@ -85,8 +88,8 @@ def _compile_expr(e, widths, C):
         if e.op == "^":
             return lambda s: bin(f(s)).count("1") & 1
     if isinstance(e, n.Binary):
-        lf = _compile_expr(e.lhs, widths, C)
-        rf = _compile_expr(e.rhs, widths, C)
+        lf = _compile_expr(e.lhs, widths)
+        rf = _compile_expr(e.rhs, widths)
         op = e.op
         if op == "&":
             return lambda s: lf(s) & rf(s)
@@ -121,21 +124,21 @@ def _compile_expr(e, widths, C):
         if op == ">>":
             return lambda s: (lf(s) >> sh) if (sh := rf(s)) < w else 0
     if isinstance(e, n.Ternary):
-        cf = _compile_expr(e.cond, widths, C)
-        tf = _compile_expr(e.then_expr, widths, C)
-        ef = _compile_expr(e.else_expr, widths, C)
+        cf = _compile_expr(e.cond, widths)
+        tf = _compile_expr(e.then_expr, widths)
+        ef = _compile_expr(e.else_expr, widths)
         return lambda s: tf(s) if cf(s) else ef(s)
     if isinstance(e, n.Index):
-        sf = _compile_expr(e.subject, widths, C)
-        xf = _compile_expr(e.index, widths, C)
+        sf = _compile_expr(e.subject, widths)
+        xf = _compile_expr(e.index, widths)
         sub_w = widths[id(e.subject)]
         return lambda s: ((sf(s) >> i) & 1) if (i := xf(s)) < sub_w else 0
     if isinstance(e, n.Slice):
-        sf = _compile_expr(e.subject, widths, C)
-        lo = C(e.lsb)
+        sf = _compile_expr(e.subject, widths)
+        lo = const_value(e.lsb)
         return lambda s: (sf(s) >> lo) & mask
     if isinstance(e, n.Concat):
-        parts = [(_compile_expr(p, widths, C), widths[id(p)]) for p in e.parts]
+        parts = [(_compile_expr(p, widths), widths[id(p)]) for p in e.parts]
         def concat(s):
             acc = 0
             for pf, pw in parts:
@@ -145,7 +148,7 @@ def _compile_expr(e, widths, C):
     raise TypeError(f"cannot compile {e!r}")
 
 
-def _compile_lhs_write(lhs, widths, C, signal_width):
+def _compile_lhs_write(lhs, widths, signal_width):
     """Returns fn(out, state, value): write value through the lvalue into
     the `out` dict, merging part-selects over the freshest base value."""
     if isinstance(lhs, n.Ref):
@@ -155,9 +158,9 @@ def _compile_lhs_write(lhs, widths, C, signal_width):
     full_mask = (1 << signal_width(base)) - 1
     if isinstance(lhs, n.Index):
         if n.refs_in(lhs.index):
-            idx_f = _compile_expr(lhs.index, widths, C)
+            idx_f = _compile_expr(lhs.index, widths)
         else:
-            const_i = C(lhs.index)
+            const_i = const_value(lhs.index)
             idx_f = lambda s: const_i
         def write_bit(out, s, v):
             i = idx_f(s)
@@ -165,8 +168,8 @@ def _compile_lhs_write(lhs, widths, C, signal_width):
             out[base] = (cur & ~(1 << i) | ((v & 1) << i)) & full_mask
         return write_bit
     if isinstance(lhs, n.Slice):
-        lo = C(lhs.lsb)
-        hi = C(lhs.msb)
+        lo = const_value(lhs.lsb)
+        hi = const_value(lhs.msb)
         sel_mask = ((1 << (hi - lo + 1)) - 1) << lo
         def write_slice(out, s, v):
             cur = out.get(base, s[base])
@@ -175,102 +178,104 @@ def _compile_lhs_write(lhs, widths, C, signal_width):
     raise TypeError(f"not an lvalue: {lhs!r}")
 
 
-def _compile_stmt(stmt, widths, C, signal_width):
-    """Compile a statement to fn(state, nxt, hooks).
+def _compile_stmt(stmt, widths, signal_width, hooks):
+    """Compile a statement to fn(state, nxt).
 
     Blocking assigns write `state` directly; nonblocking assigns write the
-    pending-update dict `nxt`.
+    pending-update dict `nxt`. With `hooks`, every labelled if counts the
+    outcomes of its condition.
     """
+    sub = lambda s: _compile_stmt(s, widths, signal_width, hooks)
     if isinstance(stmt, n.Block):
-        fns = [_compile_stmt(s, widths, C, signal_width) for s in stmt.stmts]
-        def block(s, nxt, hooks):
+        fns = [sub(s) for s in stmt.stmts]
+        def block(s, nxt):
             for f in fns:
-                f(s, nxt, hooks)
+                f(s, nxt)
         return block
     if isinstance(stmt, n.If):
-        cf = _compile_expr(stmt.cond, widths, C)
-        tf = _compile_stmt(stmt.then_stmt, widths, C, signal_width)
-        ef = _compile_stmt(stmt.else_stmt, widths, C, signal_width) if stmt.else_stmt else None
-        label = stmt.label
-        def if_stmt(s, nxt, hooks):
-            taken = bool(cf(s))
-            if hooks is not None and label is not None:
-                hooks.bump(label, taken)
-            if taken:
-                tf(s, nxt, hooks)
+        cf = _compile_expr(stmt.cond, widths)
+        if hooks is not None and stmt.label is not None:
+            cond, label, bump = cf, stmt.label, hooks.bump
+            def cf(s):
+                taken = bool(cond(s))
+                bump(label, taken)
+                return taken
+        tf = sub(stmt.then_stmt)
+        ef = sub(stmt.else_stmt) if stmt.else_stmt else None
+        def if_stmt(s, nxt):
+            if cf(s):
+                tf(s, nxt)
             elif ef is not None:
-                ef(s, nxt, hooks)
+                ef(s, nxt)
         return if_stmt
     if isinstance(stmt, n.Case):
-        sf = _compile_expr(stmt.subject, widths, C)
-        arms = []
-        for arm in stmt.arms:
-            values = frozenset(C(l) for l in arm.labels)
-            arms.append((values, _compile_stmt(arm.body, widths, C, signal_width)))
-        df = _compile_stmt(stmt.default, widths, C, signal_width) if stmt.default else None
-        def case_stmt(s, nxt, hooks):
+        sf = _compile_expr(stmt.subject, widths)
+        arms = [(frozenset(const_value(l) for l in arm.labels), sub(arm.body))
+                for arm in stmt.arms]
+        df = sub(stmt.default) if stmt.default else None
+        def case_stmt(s, nxt):
             v = sf(s)
             for values, f in arms:
                 if v in values:
-                    f(s, nxt, hooks)
+                    f(s, nxt)
                     return
             if df is not None:
-                df(s, nxt, hooks)
+                df(s, nxt)
         return case_stmt
     if isinstance(stmt, n.NonblockingAssign):
-        rf = _compile_expr(stmt.rhs, widths, C)
-        wf = _compile_lhs_write(stmt.lhs, widths, C, signal_width)
-        return lambda s, nxt, hooks: wf(nxt, s, rf(s))
+        rf = _compile_expr(stmt.rhs, widths)
+        wf = _compile_lhs_write(stmt.lhs, widths, signal_width)
+        return lambda s, nxt: wf(nxt, s, rf(s))
     if isinstance(stmt, n.BlockingAssign):
-        rf = _compile_expr(stmt.rhs, widths, C)
-        wf = _compile_lhs_write(stmt.lhs, widths, C, signal_width)
-        return lambda s, nxt, hooks: wf(s, s, rf(s))
+        rf = _compile_expr(stmt.rhs, widths)
+        wf = _compile_lhs_write(stmt.lhs, widths, signal_width)
+        return lambda s, nxt: wf(s, s, rf(s))
     raise TypeError(f"cannot compile statement {stmt!r}")
 
 
 class CompiledModule:
-    def __init__(self, em: ElaboratedModule):
-        self.em = em
+    """Closures for one module: `comb_fns` are fn(state) in settle order,
+    `clocked` pairs each edge list with its body's fn(state, nxt), and
+    `inputs` pairs each input name with its width mask."""
+
+    def __init__(self, em: ElaboratedModule, hooks=None):
         folded = em.folded
         for item in folded.items:
             if isinstance(item, n.InstanceDecl):
                 raise UnsupportedConstruct(
                     "module instances are not simulatable in-process")
         widths = em.widths
-        from .evalexpr import const_value as C
         signal_width = lambda name: em.signals[name].width
+        stmt = lambda body: _compile_stmt(body, widths, signal_width, hooks)
 
-        self.input_names = [s.name for s in em.inputs]
+        self.inputs = [(s.name, (1 << s.width) - 1) for s in em.inputs]
         self.output_names = [s.name for s in em.outputs]
         self.signal_names = list(em.signals)
 
         self.comb_fns = []
         for u in em.comb_order:
+            if u.kind == "block":
+                bf = stmt(u.node.body)
+                self.comb_fns.append(lambda s, bf=bf: bf(s, None))
+                continue
             if u.kind == "init":
-                rf = _compile_expr(u.node.init, widths, C)
-                name = u.node.name
-                self.comb_fns.append(
-                    lambda s, hooks, rf=rf, name=name: s.__setitem__(name, rf(s)))
-            elif u.kind == "assign":
-                rf = _compile_expr(u.node.rhs, widths, C)
-                wf = _compile_lhs_write(u.node.lhs, widths, C, signal_width)
-                self.comb_fns.append(
-                    lambda s, hooks, rf=rf, wf=wf: wf(s, s, rf(s)))
+                lhs, rhs = n.Ref(u.node.name), u.node.init
             else:
-                bf = _compile_stmt(u.node.body, widths, C, signal_width)
-                self.comb_fns.append(
-                    lambda s, hooks, bf=bf: bf(s, None, hooks))
+                lhs, rhs = u.node.lhs, u.node.rhs
+            rf = _compile_expr(rhs, widths)
+            wf = _compile_lhs_write(lhs, widths, signal_width)
+            self.comb_fns.append(lambda s, rf=rf, wf=wf: wf(s, s, rf(s)))
 
         self.clocked = []
         for b in em.blocks:
             if b.kind != "clocked":
                 continue
             item = folded.items[b.item_index]
-            fn = _compile_stmt(item.body, widths, C, signal_width)
-            self.clocked.append((tuple(item.sensitivity.edges), fn))
+            self.clocked.append((tuple(item.sensitivity.edges), stmt(item.body)))
 
 
 def _compiled(em: ElaboratedModule) -> CompiledModule:
+    """The hook-free compiled form, cached on the module."""
     cm = getattr(em, "_compiled", None)
     if cm is None:
         cm = CompiledModule(em)
@@ -282,24 +287,17 @@ def _compiled(em: ElaboratedModule) -> CompiledModule:
 
 
 class SimInstance:
+    """Mutable state over a compiled module. An input's state entry is
+    written only by eval(), so it holds the value of the previous step
+    (0 before the first), and edges are detected against it."""
+
     def __init__(self, design: ElaboratedDesign, top=None, hooks=None):
         name = top or design.top
         if name not in design.modules:
             raise NoSuchModule(name)
-        self.em = design.modules[name]
-        self.cm = _compiled(self.em)
-        self.hooks = hooks
-        self.time = 0
+        em = design.modules[name]
+        self.cm = _compiled(em) if hooks is None else CompiledModule(em, hooks)
         self.state = {s: 0 for s in self.cm.signal_names}
-        self.prev_inputs = {s: 0 for s in self.cm.input_names}
-        self._settle()
-
-    def reset(self):
-        self.time = 0
-        for s in self.state:
-            self.state[s] = 0
-        for s in self.prev_inputs:
-            self.prev_inputs[s] = 0
         self._settle()
 
     def _settle(self):
@@ -307,47 +305,42 @@ class SimInstance:
         fns = self.cm.comb_fns
         if not fns:
             return
-        hooks = self.hooks
         for _ in range(SETTLE_CAP):
             snapshot = dict(state)
             for f in fns:
-                f(state, hooks)
+                f(state)
             if state == snapshot:
                 return
         raise SettleDivergence(f"no fixpoint after {SETTLE_CAP} iterations")
 
     def eval(self, inputs) -> dict:
         state = self.state
-        prev = self.prev_inputs
-        missing = [k for k in self.cm.input_names if k not in inputs]
-        if missing:
-            raise RtlmorphError(f"stimulus misses inputs: {', '.join(missing)}")
+        try:
+            masked = {name: inputs[name] & mask for name, mask in self.cm.inputs}
+        except KeyError:
+            missing = [name for name, _ in self.cm.inputs if name not in inputs]
+            raise RtlmorphError(
+                f"stimulus misses inputs: {', '.join(missing)}") from None
 
         triggered = []
         for edges, fn in self.cm.clocked:
             for edge, sig in edges:
-                old = prev.get(sig, state.get(sig, 0))
-                new = inputs.get(sig, state.get(sig, 0))
+                old, new = state[sig], inputs[sig]
                 if (edge == "pos" and old == 0 and new != 0) or \
                    (edge == "neg" and old != 0 and new == 0):
                     triggered.append(fn)
                     break
 
-        for name in self.cm.input_names:
-            w = self.em.signals[name].width
-            state[name] = inputs[name] & ((1 << w) - 1)
+        state.update(masked)
         self._settle()
 
         if triggered:
             nxt = {}
             for fn in triggered:
-                fn(state, nxt, self.hooks)
+                fn(state, nxt)
             state.update(nxt)
             self._settle()
 
-        for name in self.cm.input_names:
-            prev[name] = state[name]
-        self.time += 1
         return {o: state[o] for o in self.cm.output_names}
 
     def run(self, stim: Stimulus) -> Trace:

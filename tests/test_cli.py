@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -89,7 +90,7 @@ def test_verify_inequivalent_with_evidence(tmp_path):
     r = cli("verify", design_path("counter"), str(altered), "--seed", "2",
             "--budget", "4x500", "--evidence-dir", str(tmp_path / "cex"))
     assert r.returncode == 3
-    assert "INEQUIVALENT" in r.stdout
+    assert re.search(r"INEQUIVALENT: count diverges \(cycle \d+\)", r.stdout)
     assert (tmp_path / "cex" / "counterexample.vcd").exists()
     assert "counterexample.vcd" in r.stdout
 
@@ -103,7 +104,8 @@ def test_verify_combinational_counterexample(tmp_path):
     r = cli("verify", design_path("alu_small"), str(altered), "--seed", "1",
             "--evidence-dir", str(tmp_path / "cex"))
     assert r.returncode == 3
-    assert "INEQUIVALENT: result diverges" in r.stdout
+    assert "INEQUIVALENT: result diverges (inputs {'op': " in r.stdout
+    assert "cycle" not in r.stdout
     vcd = (tmp_path / "cex" / "counterexample.vcd").read_text()
     assert "$var wire 8" in vcd and "$var wire 2" in vcd
 

@@ -73,6 +73,15 @@ def test_parameters_folded_to_constants():
             assert not (isinstance(node, n.Ref) and node.name in em.params)
 
 
+def test_parameter_folding_computes_only_its_operator():
+    # folding 4 + -1 must not also try 4 << -1, a negative shift count
+    unit = parse("module t(input wire a, output wire [3:0] y);\n"
+                 "localparam K = 4 + -1;\n"
+                 "assign y = K; endmodule")
+    em = elaborate(unit).top_module
+    assert em.params["K"][0] == 3
+
+
 def test_width_mismatch_on_truncating_assign():
     unit = parse("module t(input wire [7:0] a, output wire [3:0] y);\n"
                  "assign y = a; endmodule")

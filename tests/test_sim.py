@@ -5,8 +5,8 @@ from dataclasses import replace
 import pytest
 
 from rtlmorph import nodes as n
-from rtlmorph import parse, elaborate, instantiate, Stimulus
-from rtlmorph.errors import SettleDivergence, UnsupportedConstruct
+from rtlmorph import parse, elaborate, instantiate, BranchCounters, Stimulus
+from rtlmorph.errors import RtlmorphError, SettleDivergence, UnsupportedConstruct
 from rtlmorph.traceio import (
     emit_cosim_bundle, parse_cosim_output, stimulus_to_csv, trace_to_csv,
     write_vcd,
@@ -112,8 +112,49 @@ def test_empty_stimulus(counter_design):
 
 def test_missing_input_rejected(counter_design):
     inst = instantiate(counter_design)
-    with pytest.raises(Exception):
+    inst.eval({"clk": 0, "reset": 0})
+    with pytest.raises(RtlmorphError, match="stimulus misses inputs: reset"):
         inst.eval({"clk": 1})
+    # the rejected step changed no state: the next posedge still fires
+    fresh = instantiate(counter_design)
+    fresh.eval({"clk": 0, "reset": 0})
+    step = {"clk": 1, "reset": 0}
+    assert inst.eval(step) == fresh.eval(step) == {"count": 1}
+    assert inst.state == fresh.state
+
+
+def test_branch_counters_bind_per_instance():
+    """A counted instance and a hook-free one of the same design trace
+    alike; only the counted one counts, and the hook-free compiled form
+    cached on the module stays uncounted."""
+    text = """module t(input wire clk, input wire a, output reg [1:0] y,
+    output reg z);
+    always @(posedge clk) begin
+        if (a) y <= y + 1; else y <= y;
+    end
+    always @* begin
+        if (y == 2) z = 1; else z = 0;
+    end
+endmodule
+"""
+    labels = iter(("clocked_if", "comb_if"))
+    module = n.map_module(parse(text).modules[0], stmt_fn=lambda s: replace(
+        s, label=next(labels)) if isinstance(s, n.If) else s)
+    design = elaborate(n.SourceUnit((module,)))
+    counters = BranchCounters()
+    counted = instantiate(design, hooks=counters)
+    plain = instantiate(design)
+    assert counted.cm is not plain.cm
+    assert instantiate(design).cm is plain.cm
+    stim = Stimulus([{"clk": c, "a": (i // 3) & 1}
+                     for i in range(24) for c in (0, 1)])
+    assert counted.run(stim).steps == plain.run(stim).steps
+    assert counters.counts["clocked_if"] == (12, 12)
+    then_c, else_c = counters.counts["comb_if"]
+    assert then_c > 0 and else_c > 0
+    before = dict(counters.counts)
+    instantiate(design).run(stim)
+    assert counters.counts == before
 
 
 def test_nonblocking_order_is_irrelevant():
@@ -207,7 +248,7 @@ endmodule
     state = dict.fromkeys(inst.cm.signal_names, 0)
     state["a"] = 1
     for f in inst.cm.comb_fns:
-        f(state, inst.hooks)
+        f(state)
     assert state["y"] == 1
     assert inst.eval({"a": 1})["y"] == 3
 
