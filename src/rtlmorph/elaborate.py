@@ -48,11 +48,6 @@ class Diagnostic:
         }, sort_keys=True)
 
 
-def diagnostics_report(diags) -> str:
-    """Line-oriented machine-readable report: one JSON object per line."""
-    return "\n".join(d.to_json() for d in diags) + ("\n" if diags else "")
-
-
 @dataclass
 class BlockInfo:
     item_index: int

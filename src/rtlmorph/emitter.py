@@ -6,28 +6,20 @@ literal display bases are preserved from the source.
 """
 
 from . import nodes as n
+from . import ops
 
 _INDENT = "    "
 
 # binding strength; larger binds tighter
-_LEVEL = {
-    "||": 1, "&&": 2, "|": 3, "^": 4, "&": 5,
-    "==": 6, "!=": 6,
-    "<": 7, "<=": 7, ">": 7, ">=": 7,
-    "<<": 8, ">>": 8,
-    "+": 9, "-": 9,
-    "*": 10,
-}
-_UNARY_LEVEL = 11
-_PRIMARY_LEVEL = 12
+_PRIMARY_LEVEL = ops.UNARY_LEVEL + 1
 _TERNARY_LEVEL = 0
 
 
 def _level(e):
     if isinstance(e, n.Binary):
-        return _LEVEL[e.op]
+        return ops.BINARY[e.op].level
     if isinstance(e, n.Unary):
-        return _UNARY_LEVEL
+        return ops.UNARY_LEVEL
     if isinstance(e, n.Ternary):
         return _TERNARY_LEVEL
     return _PRIMARY_LEVEL
@@ -55,9 +47,9 @@ def emit_expr(e: n.Expr) -> str:
         return e.name
     if isinstance(e, n.Unary):
         # nested unaries keep explicit parens: ~(~x), not ~~x
-        return e.op + _wrap(e.operand, _UNARY_LEVEL, allow_equal=False)
+        return e.op + _wrap(e.operand, ops.UNARY_LEVEL, allow_equal=False)
     if isinstance(e, n.Binary):
-        lvl = _LEVEL[e.op]
+        lvl = ops.BINARY[e.op].level
         lhs = _wrap(e.lhs, lvl, allow_equal=True)
         rhs = _wrap(e.rhs, lvl, allow_equal=False)
         return f"{lhs} {e.op} {rhs}"

@@ -8,14 +8,13 @@ masked to the node's inferred width.
 """
 
 from . import nodes as n
+from . import ops
 from .errors import ResolutionError, WidthMismatch
 
 MAX_WIDTH = 64
-
-_ARITH = {"&", "|", "^", "+", "-", "*"}
-_COMPARE = {"==", "!=", "<", "<=", ">", ">="}
-_SHIFT = {"<<", ">>"}
-_LOGICAL = {"&&", "||"}
+# constant left shifts by this many bits or more fold to 0, which bounds
+# the ints folding builds
+_FOLD_SHIFT_CAP = 1024
 
 
 def _literal_min_width(value: int) -> int:
@@ -32,17 +31,16 @@ def self_width(e: n.Expr, width_of) -> int:
             raise ResolutionError(e.name, *(e.pos or (None, None)))
         return w
     if isinstance(e, n.Unary):
-        if e.op in ("~", "-"):
+        if ops.UNARY[e.op].rule == ops.ARITH:
             return self_width(e.operand, width_of)
-        return 1  # !, reductions
+        return 1
     if isinstance(e, n.Binary):
-        if e.op in _ARITH:
+        rule = ops.BINARY[e.op].rule
+        if rule == ops.ARITH:
             return max(self_width(e.lhs, width_of), self_width(e.rhs, width_of))
-        if e.op in _COMPARE or e.op in _LOGICAL:
-            return 1
-        if e.op in _SHIFT:
+        if rule == ops.SHIFT:
             return self_width(e.lhs, width_of)
-        raise ValueError(f"unknown operator {e.op}")
+        return 1
     if isinstance(e, n.Ternary):
         return max(self_width(e.then_expr, width_of), self_width(e.else_expr, width_of))
     if isinstance(e, n.Index):
@@ -71,22 +69,21 @@ def annotate(e: n.Expr, width_of, widths: dict, context=None) -> int:
     if isinstance(e, (n.Literal, n.Ref)):
         pass
     elif isinstance(e, n.Unary):
-        if e.op in ("~", "-"):
-            annotate(e.operand, width_of, widths, final)
-        else:
-            annotate(e.operand, width_of, widths, None)
+        ctx = final if ops.UNARY[e.op].rule == ops.ARITH else None
+        annotate(e.operand, width_of, widths, ctx)
     elif isinstance(e, n.Binary):
-        if e.op in _ARITH:
+        rule = ops.BINARY[e.op].rule
+        if rule == ops.ARITH:
             annotate(e.lhs, width_of, widths, final)
             annotate(e.rhs, width_of, widths, final)
-        elif e.op in _COMPARE:
+        elif rule == ops.COMPARE:
             both = max(self_width(e.lhs, width_of), self_width(e.rhs, width_of))
             annotate(e.lhs, width_of, widths, both)
             annotate(e.rhs, width_of, widths, both)
-        elif e.op in _LOGICAL:
+        elif rule == ops.LOGICAL:
             annotate(e.lhs, width_of, widths, None)
             annotate(e.rhs, width_of, widths, None)
-        elif e.op in _SHIFT:
+        elif rule == ops.SHIFT:
             annotate(e.lhs, width_of, widths, final)
             annotate(e.rhs, width_of, widths, None)
     elif isinstance(e, n.Ternary):
@@ -113,7 +110,12 @@ def annotate(e: n.Expr, width_of, widths: dict, context=None) -> int:
 
 
 def evaluate(e: n.Expr, env, widths: dict) -> int:
-    """Reference (uncompiled) evaluation; env maps signal name -> int."""
+    """Reference (uncompiled) evaluation; env maps signal name -> int.
+
+    The tests check the simulator's compiled closures against this
+    evaluator, so it is written out by hand and deliberately not built
+    from `ops`: built from the same table, it would agree by construction.
+    """
     w = widths[id(e)]
     mask = (1 << w) - 1
     if isinstance(e, n.Literal):
@@ -137,7 +139,7 @@ def evaluate(e: n.Expr, env, widths: dict) -> int:
         if e.op == "^":
             return bin(v).count("1") & 1
     if isinstance(e, n.Binary):
-        if e.op in _LOGICAL:
+        if e.op in ("&&", "||"):
             l = evaluate(e.lhs, env, widths)
             if e.op == "&&":
                 return 1 if (l != 0 and evaluate(e.rhs, env, widths) != 0) else 0
@@ -194,19 +196,6 @@ def evaluate(e: n.Expr, env, widths: dict) -> int:
     raise TypeError(f"cannot evaluate {e!r}")
 
 
-# One function per operator: folding a node computes only its own operator.
-_CONST_BINARY = {
-    "+": lambda l, r: l + r, "-": lambda l, r: l - r, "*": lambda l, r: l * r,
-    "&": lambda l, r: l & r, "|": lambda l, r: l | r, "^": lambda l, r: l ^ r,
-    "<<": lambda l, r: l << r if r < 1024 else 0, ">>": lambda l, r: l >> r,
-    "==": lambda l, r: int(l == r), "!=": lambda l, r: int(l != r),
-    "<": lambda l, r: int(l < r), "<=": lambda l, r: int(l <= r),
-    ">": lambda l, r: int(l > r), ">=": lambda l, r: int(l >= r),
-    "&&": lambda l, r: int(bool(l) and bool(r)),
-    "||": lambda l, r: int(bool(l) or bool(r)),
-}
-
-
 def const_value(e: n.Expr, params=None) -> int:
     """Evaluate a compile-time constant expression to an int."""
     v = try_const(e, params)
@@ -232,17 +221,18 @@ def try_const(e: n.Expr, params=None):
         if inner is None:
             return None
         v, w = inner
-        if e.op == "-":
-            return (-v if w is None else (-v) & ((1 << w) - 1), w)
-        if e.op == "~":
-            return ((~v) & ((1 << w) - 1), w) if w is not None else None
-        if e.op == "!":
-            return (0 if v else 1, 1)
-        return None
+        op = ops.UNARY[e.op]
+        if op.folds is None or (op.folds == ops.SIZED and w is None):
+            return None
+        m = -1 if w is None else (1 << w) - 1
+        return (op.fold(v, m, None), w if op.rule == ops.ARITH else 1)
     if isinstance(e, n.Binary):
         l = try_const(e.lhs, params)
         r = try_const(e.rhs, params)
         if l is None or r is None:
             return None
-        return (_CONST_BINARY[e.op](l[0], r[0]), None)
+        op = ops.BINARY[e.op]
+        if op.rule == ops.SHIFT and r[0] < 0:
+            raise WidthMismatch(f"shift count {r[0]} is negative")
+        return (op.fold(l[0], r[0], -1, _FOLD_SHIFT_CAP), None)
     return None

@@ -215,22 +215,6 @@ def parse_tool_stat_json(payload) -> MetricSet:
     return MetricSet(wires=wires, cells=cells, area=area, provenance=prov)
 
 
-def netlist_stats(netlist) -> MetricSet:
-    """Metric extraction from whatever is at hand: a (gate-level or RTL)
-    SourceUnit/design for structural proxies, or an external tool report
-    (text or parsed JSON)."""
-    if isinstance(netlist, (n.SourceUnit, n.ModuleDecl, ElaboratedDesign)):
-        return structural_stats(netlist)
-    if isinstance(netlist, dict):
-        return parse_tool_stat_json(netlist)
-    if isinstance(netlist, str):
-        stripped = netlist.lstrip()
-        if stripped.startswith("{"):
-            return parse_tool_stat_json(netlist)
-        return parse_tool_stat(netlist)
-    raise UnparsableReport(f"cannot extract metrics from {type(netlist).__name__}")
-
-
 # --- normalization ----------------------------------------------------------------
 
 

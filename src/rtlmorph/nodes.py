@@ -49,13 +49,6 @@ class Ref(Expr):
     pos: Optional[tuple] = field(default=None, compare=False)
 
 
-UNARY_OPS = ("~", "!", "-", "&", "|", "^")
-BINARY_OPS = (
-    "&", "|", "^", "+", "-", "*", "==", "!=", "<", "<=", ">", ">=",
-    "<<", ">>", "&&", "||",
-)
-
-
 @dataclass(frozen=True)
 class Unary(Expr):
     op: str

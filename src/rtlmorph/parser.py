@@ -8,21 +8,15 @@ rejected with UnsupportedConstruct rather than silently mangled.
 """
 
 from . import nodes as n
+from . import ops
 from .errors import UnsupportedConstruct, VerilogSyntaxError
 from .lexer import tokenize
 
-# binding power, loosest first; all binary ops are left-associative
-_PRECEDENCE = [
-    ("||",),
-    ("&&",),
-    ("|",),
-    ("^",),
-    ("&",),
-    ("==", "!="),
-    ("<", "<=", ">", ">="),
-    ("<<", ">>"),
-    ("+", "-"),
-    ("*",),
+# binary operators grouped by binding level, loosest first; all are
+# left-associative
+_BINARY_LEVELS = [
+    {op for op, row in ops.BINARY.items() if row.level == level}
+    for level in sorted({row.level for row in ops.BINARY.values()})
 ]
 _UNSUPPORTED_KW = {
     "integer", "initial", "generate", "endgenerate", "function",
@@ -365,12 +359,12 @@ class _Parser:
         return cond
 
     def binary(self, level):
-        if level >= len(_PRECEDENCE):
+        if level >= len(_BINARY_LEVELS):
             return self.unary()
-        ops = _PRECEDENCE[level]
+        level_ops = _BINARY_LEVELS[level]
         pos = self.pos()
         lhs = self.binary(level + 1)
-        while self.cur.kind in ops:
+        while self.cur.kind in level_ops:
             op = self.expect(self.cur.kind).text
             rhs = self.binary(level + 1)
             lhs = n.Binary(op, lhs, rhs, pos=pos)
@@ -378,10 +372,9 @@ class _Parser:
 
     def unary(self):
         pos = self.pos()
-        for op in ("~", "!", "-", "&", "|", "^"):
-            if self.at(op):
-                self.expect(op)
-                return n.Unary(op, self.unary(), pos=pos)
+        if self.cur.kind in ops.UNARY:
+            op = self.expect(self.cur.kind).text
+            return n.Unary(op, self.unary(), pos=pos)
         return self.postfix()
 
     def postfix(self):

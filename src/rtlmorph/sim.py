@@ -17,6 +17,7 @@ the collected updates, settle again, sample outputs.
 from dataclasses import dataclass
 
 from . import nodes as n
+from . import ops
 from .elaborate import ElaboratedDesign, ElaboratedModule, elaborate
 from .errors import NoSuchModule, RtlmorphError, SettleDivergence, UnsupportedConstruct
 from .evalexpr import const_value
@@ -72,57 +73,11 @@ def _compile_expr(e, widths):
         name = e.name
         return lambda s: s[name]
     if isinstance(e, n.Unary):
-        f = _compile_expr(e.operand, widths)
-        if e.op == "~":
-            return lambda s: (~f(s)) & mask
-        if e.op == "-":
-            return lambda s: (-f(s)) & mask
-        if e.op == "!":
-            return lambda s: 0 if f(s) else 1
-        ow = widths[id(e.operand)]
-        omask = (1 << ow) - 1
-        if e.op == "&":
-            return lambda s: 1 if f(s) == omask else 0
-        if e.op == "|":
-            return lambda s: 1 if f(s) else 0
-        if e.op == "^":
-            return lambda s: bin(f(s)).count("1") & 1
+        om = (1 << widths[id(e.operand)]) - 1
+        return ops.UNARY[e.op].closure(_compile_expr(e.operand, widths), mask, om)
     if isinstance(e, n.Binary):
-        lf = _compile_expr(e.lhs, widths)
-        rf = _compile_expr(e.rhs, widths)
-        op = e.op
-        if op == "&":
-            return lambda s: lf(s) & rf(s)
-        if op == "|":
-            return lambda s: lf(s) | rf(s)
-        if op == "^":
-            return lambda s: lf(s) ^ rf(s)
-        if op == "+":
-            return lambda s: (lf(s) + rf(s)) & mask
-        if op == "-":
-            return lambda s: (lf(s) - rf(s)) & mask
-        if op == "*":
-            return lambda s: (lf(s) * rf(s)) & mask
-        if op == "==":
-            return lambda s: 1 if lf(s) == rf(s) else 0
-        if op == "!=":
-            return lambda s: 1 if lf(s) != rf(s) else 0
-        if op == "<":
-            return lambda s: 1 if lf(s) < rf(s) else 0
-        if op == "<=":
-            return lambda s: 1 if lf(s) <= rf(s) else 0
-        if op == ">":
-            return lambda s: 1 if lf(s) > rf(s) else 0
-        if op == ">=":
-            return lambda s: 1 if lf(s) >= rf(s) else 0
-        if op == "&&":
-            return lambda s: 1 if (lf(s) and rf(s)) else 0
-        if op == "||":
-            return lambda s: 1 if (lf(s) or rf(s)) else 0
-        if op == "<<":
-            return lambda s: ((lf(s) << sh) & mask) if (sh := rf(s)) < w else 0
-        if op == ">>":
-            return lambda s: (lf(s) >> sh) if (sh := rf(s)) < w else 0
+        return ops.BINARY[e.op].closure(
+            _compile_expr(e.lhs, widths), _compile_expr(e.rhs, widths), mask, w)
     if isinstance(e, n.Ternary):
         cf = _compile_expr(e.cond, widths)
         tf = _compile_expr(e.then_expr, widths)

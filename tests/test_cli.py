@@ -158,3 +158,16 @@ def test_lint_subcommand(tmp_path):
     r = cli("lint", str(latchy))
     assert r.returncode == 3
     assert "inferred-latch" in r.stdout
+
+
+def test_lint_rejects_a_negative_constant_shift_count(tmp_path):
+    for op in ("<<", ">>"):
+        src = tmp_path / "neg_shift.v"
+        src.write_text("module t(input wire a, output wire [3:0] y);\n"
+                       f"localparam K = 4 {op} -1;\n"
+                       "assign y = K;\nendmodule\n")
+        r = cli("lint", str(src))
+        assert r.returncode == 1, (op, r.stderr)
+        errors = [l for l in r.stderr.splitlines() if l.startswith("error:")]
+        assert len(errors) == 1 and "-1" in errors[0], (op, r.stderr)
+        assert "Traceback" not in r.stderr

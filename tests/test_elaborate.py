@@ -4,7 +4,6 @@ import pytest
 
 from rtlmorph import nodes as n
 from rtlmorph import parse, elaborate, lint_synthesizable
-from rtlmorph.elaborate import diagnostics_report
 from rtlmorph.errors import CombinationalLoop, MultipleDrivers, WidthMismatch
 from rtlmorph.evalexpr import MAX_WIDTH
 
@@ -146,9 +145,9 @@ def test_diagnostics_machine_readable():
     unit = parse("module t(input wire s, input wire a, output reg y);\n"
                  "always @(*) begin\nif (s)\ny = a;\nend\nendmodule")
     diags = lint_synthesizable(elaborate(unit))
-    report = diagnostics_report(diags)
-    for line in report.strip().split("\n"):
-        rec = json.loads(line)
+    assert diags
+    for d in diags:
+        rec = json.loads(d.to_json())
         assert set(rec) == {"severity", "code", "line", "col", "message"}
 
 

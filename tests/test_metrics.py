@@ -6,8 +6,8 @@ from hypothesis import given, strategies as st
 from rtlmorph import parse
 from rtlmorph.errors import MisalignedDesignSets, UnparsableReport
 from rtlmorph.metrics import (
-    METRIC_NAMES, MetricSet, NormalizedRatio, aggregate, netlist_stats,
-    normalize, parse_report_csv, parse_tool_stat, ratios_to_jsonl,
+    METRIC_NAMES, MetricSet, NormalizedRatio, aggregate, normalize,
+    parse_report_csv, parse_tool_stat, parse_tool_stat_json, ratios_to_jsonl,
     render_report, structural_stats,
 )
 
@@ -35,9 +35,9 @@ def test_tool_stat_text():
 def test_tool_stat_json():
     payload = {"modules": {"counter": {"num_wires": 42, "num_cells": 17,
                                        "area": 120.5}}}
-    m = netlist_stats(payload)
+    m = parse_tool_stat_json(payload)
     assert m.wires == 42 and m.cells == 17 and m.area == 120.5
-    m2 = netlist_stats(json.dumps({"design": {"num_wires": 3, "num_cells": 2}}))
+    m2 = parse_tool_stat_json(json.dumps({"design": {"num_wires": 3, "num_cells": 2}}))
     assert m2.wires == 3 and m2.area == 2  # cells fallback
 
 
@@ -47,7 +47,7 @@ def test_unparsable_report():
 
 
 def test_empty_netlist_all_zeros():
-    m = netlist_stats(parse("module m;\nendmodule"))
+    m = structural_stats(parse("module m;\nendmodule"))
     assert (m.wires, m.cells, m.area, m.delay, m.power) == (0, 0, 0.0, 0.0, 0.0)
 
 
@@ -66,7 +66,7 @@ def test_and_chain_delay_three_levels():
     assign y = w2 & d;
 endmodule
 """
-    m = netlist_stats(parse(text))
+    m = structural_stats(parse(text))
     assert m.delay == 3
     assert m.provenance["delay"] == "ProxyComputed"
 

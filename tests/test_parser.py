@@ -161,10 +161,11 @@ def _exprs(depth):
     return st.one_of(
         _names.map(n.Ref),
         st.integers(0, 15).map(lambda v: n.Literal(v, 4, base="d")),
-        st.tuples(st.sampled_from(["&", "|", "^", "+", "-", "*", "==", "<",
-                                   "<<", "&&"]), sub, sub)
+        st.tuples(st.sampled_from(["&", "|", "^", "+", "-", "*", "==", "!=",
+                                   "<", "<=", ">", ">=", "<<", ">>", "&&",
+                                   "||"]), sub, sub)
         .map(lambda t: n.Binary(*t)),
-        st.tuples(st.sampled_from(["~", "!", "-", "&"]), sub)
+        st.tuples(st.sampled_from(["~", "!", "-", "&", "|", "^"]), sub)
         .map(lambda t: n.Unary(*t)),
         st.tuples(sub, sub, sub).map(lambda t: n.Ternary(*t)),
         st.lists(sub, min_size=2, max_size=3).map(lambda ps: n.Concat(tuple(ps))),
