@@ -136,10 +136,18 @@ def _fold_params(m: n.ModuleDecl):
             raise WidthMismatch(f"parameter {p.name} folds to a negative value")
         params[p.name] = (value, width)
 
+    seen = set()
+
     def fold(e):
         if isinstance(e, n.Ref) and e.name in params:
             value, width = params[e.name]
             return n.Literal(value, width, pos=e.pos)
+        if id(e) in seen:
+            # map_expr keeps unchanged subtrees, so a node the module holds
+            # in two places comes back twice; widths are keyed by id(node)
+            # and may differ per place, so each place gets its own copy
+            e = replace(e)
+        seen.add(id(e))
         return e
 
     folded = replace(n.map_module(m, expr_fn=fold), params=())

@@ -7,13 +7,24 @@ up to 20 input bits are checked exhaustively, everything else by seeded
 randomized trials with a reset prologue and per-output latency alignment
 (offsets come from the mutant's MutationRecord). An Inequivalent verdict
 always carries a replayable counterexample.
+
+Two loops decide a verdict, with the same stimulus and comparison rule.
+The closure interpreter (`sim.SimInstance`) runs first, as a probe: the
+first PROBE cycles of trial 0, or the first PROBE vectors of an
+exhaustive sweep. A divergence there is the verdict. A pair that agrees
+through the probe gets a generated loop (`codegen`), which runs the whole
+check from its start and decides "equivalent", or the first divergence
+after the probe; a pair the generator declines stays on the interpreter.
+The counterexample is built from the divergence the deciding loop
+reports, and its stimulus is drawn again from the check's input plan
+when read, so `replay` and `export` go through the interpreter.
 """
 
 import hashlib
 import os
 from dataclasses import dataclass, field, replace
 from random import Random
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import nodes as n
 from .elaborate import ElaboratedDesign, elaborate
@@ -29,7 +40,7 @@ def _mix(seed, *parts):
     return int.from_bytes(h[:8], "big") >> 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EquivalenceVerdict:
     status: str  # "equivalent" | "inequivalent" | "inconclusive"
     evidence: dict = field(default_factory=dict)
@@ -40,18 +51,116 @@ class EquivalenceVerdict:
         return self.status == "equivalent"
 
 
-@dataclass(frozen=True)
+class _Trials(NamedTuple):
+    """How a randomized check draws its inputs. Each cycle draws the data
+    inputs from the trial's `Random(seed)` in port order, drives each
+    reset to 1 inside the prologue (and the storm) and to 0 elsewhere,
+    and takes one step per clock phase: clock low with the cycle's data,
+    then clock high. A counterexample keeps this plan to draw its stimulus
+    again, so pairs are stored flat: `data` is name, width, name, width,
+    ... and `extras`, the second design's clock-map inputs, is input, the
+    first design's input it copies, ..."""
+    data: tuple
+    resets: tuple
+    clocks: tuple
+    extras: tuple
+    cycles: int
+    prologue: int
+
+    def draws(self):
+        """(name, width) of each data input, in drawing order."""
+        return zip(self.data[::2], self.data[1::2])
+
+    def copies(self):
+        """(second design's input, first design's input it copies)."""
+        return zip(self.extras[::2], self.extras[1::2])
+
+    def storm(self, storm):
+        """The reset storm's cycles as range bounds; empty without one."""
+        if storm and self.cycles > 2 * self.prologue + 4:
+            return self.cycles // 2, self.cycles // 2 + self.prologue
+        return 0, 0
+
+    def in_reset(self, t, storm):
+        start, stop = self.storm(storm)
+        return t < self.prologue or start <= t < stop
+
+    def trial(self, seed, storm):
+        """Yield (steps, in_reset) per cycle, where steps pairs each
+        phase's input dict for the first design with the second's."""
+        rng = Random(seed)
+        phases = (0, 1) if self.clocks else (0,)
+        for t in range(self.cycles):
+            in_reset = self.in_reset(t, storm)
+            vals = {name: rng.getrandbits(w) for name, w in self.draws()}
+            for r in self.resets:
+                vals[r] = 1 if in_reset else 0
+            steps = []
+            for phase in phases:
+                step_a = dict(vals)
+                for c in self.clocks:
+                    step_a[c] = phase
+                step_b = step_a
+                if self.extras:
+                    step_b = dict(step_a)
+                    for e, src in self.copies():
+                        step_b[e] = step_a[src]
+                steps.append((step_a, step_b))
+            yield steps, in_reset
+
+    def steps(self, seed, storm, cycle, side):
+        """One side's steps (0: first design, 1: second) of a trial, up
+        to and including `cycle`."""
+        out = []
+        for t, (steps, _) in enumerate(self.trial(seed, storm)):
+            out.extend(step[side] for step in steps)
+            if t == cycle:
+                break
+        return out
+
+
+class _Vectors(NamedTuple):
+    """The exhaustive check's inputs: vector v packs them LSB-first in
+    port order."""
+    ins: tuple  # (name, width)
+
+    def assign(self, v):
+        assign = {}
+        off = 0
+        for name, w in self.ins:
+            assign[name] = (v >> off) & ((1 << w) - 1)
+            off += w
+        return assign
+
+    def steps(self, seed, storm, cycle, side):
+        return [self.assign(cycle)]
+
+
+@dataclass(frozen=True, slots=True)
 class Counterexample:
     """Stimulus prefix up to and including the first divergent cycle.
-    step_a/step_b differ when the comparison was offset-aligned."""
-    stimulus_a: Stimulus
-    stimulus_b: Stimulus
+    step_a/step_b differ when the comparison was offset-aligned.
+
+    The stimulus is drawn again from the check's input plan on each
+    access: from the trial's seed and storm flag for a randomized check,
+    from the vector (`cycle`) for an exhaustive one."""
+    plan: object  # _Trials | _Vectors
+    seed: Optional[int]
+    storm: bool
     cycle: int
     step_a: int
     step_b: int
     signal: str
     expected: int
     actual: int
+
+    @property
+    def stimulus_a(self) -> Stimulus:
+        return Stimulus(self.plan.steps(self.seed, self.storm, self.cycle, 0))
+
+    @property
+    def stimulus_b(self) -> Stimulus:
+        return Stimulus(self.plan.steps(self.seed, self.storm, self.cycle, 1))
 
     def replay(self, a, b) -> bool:
         """True when the divergence reproduces in fresh instances."""
@@ -64,11 +173,12 @@ class Counterexample:
     def export(self, outdir, widths=None):
         from .traceio import stimulus_to_csv, write_vcd
         os.makedirs(outdir, exist_ok=True)
+        stimulus = self.stimulus_a
         csv_path = os.path.join(outdir, "counterexample_stimulus.csv")
         with open(csv_path, "w", encoding="utf-8") as f:
-            f.write(stimulus_to_csv(self.stimulus_a))
+            f.write(stimulus_to_csv(stimulus))
         vcd_path = os.path.join(outdir, "counterexample.vcd")
-        write_vcd(vcd_path, self.stimulus_a, Trace(()), widths or {})
+        write_vcd(vcd_path, stimulus, Trace(()), widths or {})
         note = os.path.join(outdir, "counterexample.txt")
         with open(note, "w", encoding="utf-8") as f:
             f.write(f"cycle {self.cycle} step {self.step_b} signal {self.signal}: "
@@ -133,6 +243,25 @@ def _check_ports(ea, eb, clock_map):
 
 # --- exhaustive combinational check -------------------------------------------
 
+# Both checks first run the interpreter over this many vectors (or cycles of
+# trial 0) and compile a generated loop only for a pair that agrees on all
+# of them: most broken pairs diverge this early, and building the loop
+# costs more than interpreting them.
+PROBE = 32
+
+
+def _sweep_interpreted(ea, eb, plan, out_names, stop):
+    """The exhaustive sweep on the interpreter: vectors 0..stop-1."""
+    ia, ib = SimInstance(ea), SimInstance(eb)
+    for v in range(stop):
+        assign = plan.assign(v)
+        oa = ia.eval(assign)
+        ob = ib.eval(assign)
+        for name in out_names:
+            if oa[name] != ob[name]:
+                return v, name, oa[name], ob[name]
+    return None
+
 
 def check_comb_exhaustive(a, b) -> EquivalenceVerdict:
     """All 2^w input assignments; inputs packed LSB-first in port order."""
@@ -145,25 +274,26 @@ def check_comb_exhaustive(a, b) -> EquivalenceVerdict:
     total = sum(w for _, w in ins)
     if total > 20:
         raise TooWide(f"{total} input bits exceeds the exhaustive cap of 20")
-    ia, ib = SimInstance(ea), SimInstance(eb)
-    for v in range(1 << total):
-        assign = {}
-        off = 0
-        for name, w in ins:
-            assign[name] = (v >> off) & ((1 << w) - 1)
-            off += w
-        oa = ia.eval(assign)
-        ob = ib.eval(assign)
-        if oa != ob:
-            sig = sorted(k for k in oa if oa[k] != ob[k])[0]
-            # combinational: a one-step stimulus replays the divergence
-            stim = Stimulus((assign,))
-            cex = Counterexample(stim, stim, cycle=v, step_a=0, step_b=0,
-                                 signal=sig, expected=oa[sig], actual=ob[sig])
-            return EquivalenceVerdict("inequivalent",
-                                      {"vectors_tried": v + 1, "inputs": assign},
-                                      cex)
-    return EquivalenceVerdict("equivalent", {"vectors": 1 << total, "mode": "exhaustive"})
+    plan = _Vectors(tuple(ins))
+    out_names = [name for name, _ in outs]
+    vectors = 1 << total
+    found = _sweep_interpreted(ea, eb, plan, out_names, min(PROBE, vectors))
+    if found is None and vectors > PROBE:
+        from . import codegen  # only a pair that survives its probe needs it
+        # the sweep starts again at vector 0: a latch-style block carries
+        # state from one vector to the next
+        sweep = codegen.vector_sweep(ea, eb, plan.ins, out_names)
+        found = sweep(vectors) if sweep is not None else \
+            _sweep_interpreted(ea, eb, plan, out_names, vectors)
+    if found is None:
+        return EquivalenceVerdict("equivalent", {"vectors": vectors, "mode": "exhaustive"})
+    v, sig, expected, actual = found
+    # combinational: a one-step stimulus replays the divergence
+    cex = Counterexample(plan, None, False, cycle=v, step_a=0, step_b=0,
+                         signal=sig, expected=expected, actual=actual)
+    return EquivalenceVerdict("inequivalent",
+                              {"vectors_tried": v + 1, "inputs": plan.assign(v)},
+                              cex)
 
 
 # --- randomized sequential check ----------------------------------------------
@@ -175,19 +305,47 @@ def _clocks_and_resets(em):
         [r for r in em.async_resets() if r in input_names]
 
 
-def _cycles(ins, clocks, resets, cfg, rng, storm):
-    """Yield (data and reset values, in_reset) per cycle, drawing the data
-    inputs from `rng` in port order; clocks are toggled by the caller."""
-    data = [(name, w) for name, w in ins if name not in clocks and name not in resets]
-    prologue = cfg.reset_prologue
-    storm_at = cfg.cycles // 2 if storm and cfg.cycles > 2 * prologue + 4 else None
-    for t in range(cfg.cycles):
-        in_reset = t < prologue or (storm_at is not None and
-                                    storm_at <= t < storm_at + prologue)
-        vals = {name: rng.getrandbits(w) for name, w in data}
-        for r in resets:
-            vals[r] = 1 if in_reset else 0
-        yield vals, in_reset
+def _trials_plan(ea, eb, cfg):
+    """The input plan of a randomized check, and its (output, offset)
+    pairs in comparison order."""
+    ma, mb = ea.top_module, eb.top_module
+    ins, outs = _check_ports(ma, mb, cfg.clock_map)
+    clocks, resets = _clocks_and_resets(ma)
+    names_a = {name for name, _ in ins}
+    extras = tuple(x for s in mb.inputs if s.name not in names_a
+                   for x in (s.name, cfg.clock_map[s.name]))
+    data = tuple(x for name, w in ins if name not in clocks and name not in resets
+                 for x in (name, w))
+    plan = _Trials(data, tuple(resets), tuple(clocks), extras, cfg.cycles,
+                   cfg.reset_prologue)
+    return plan, tuple((name, cfg.offsets.get(name, 0)) for name, _ in outs)
+
+
+def _trial_interpreted(ea, eb, plan, offsets, seed, storm, stop):
+    """Cycles 0..stop-1 of one trial on the interpreter, compared by the
+    oracle's rule. The first divergence as (cycle, output, offset,
+    expected, actual), or None."""
+    ia, ib = SimInstance(ea), SimInstance(eb)
+    hist_a = []
+    last_reset = -1
+    for t, (steps, in_reset) in enumerate(plan.trial(seed, storm)):
+        if t == stop:
+            break
+        for step_a, step_b in steps:
+            oa = ia.eval(step_a)
+            ob = ib.eval(step_b)
+        hist_a.append(oa)
+        for name, k in offsets:
+            # both sides are clamped by the asynchronous reset, so
+            # inside it outputs must agree directly (offset 0)
+            if in_reset:
+                k = 0
+            if t - k <= last_reset or ob[name] == hist_a[t - k][name]:
+                continue
+            return t, name, k, hist_a[t - k][name], ob[name]
+        if in_reset:
+            last_reset = t
+    return None
 
 
 def check_seq_random(a, b, cfg: EquivConfig = None) -> EquivalenceVerdict:
@@ -196,67 +354,54 @@ def check_seq_random(a, b, cfg: EquivConfig = None) -> EquivalenceVerdict:
     fresh data, then clock high) or one step otherwise. Outputs are
     compared at the cycle's last step, aligned by the declared per-output
     offsets outside reset and directly inside it. Trial 0 also carries a
-    reset storm: a second reset burst mid-run."""
+    reset storm: a second reset burst mid-run.
+
+    The interpreter runs the first PROBE cycles of trial 0. A pair that
+    agrees on them gets a generated loop (`codegen.trial_loop`) that runs
+    every trial from its start, trial 0 included; a pair the generator
+    declines stays on the interpreter. Either way the verdict and its
+    counterexample come from the first divergence found."""
     cfg = cfg or EquivConfig()
     ea, eb = _design(a), _design(b)
-    ma, mb = ea.top_module, eb.top_module
-    ins, outs = _check_ports(ma, mb, cfg.clock_map)
-    clocks, resets = _clocks_and_resets(ma)
-    names_a = {name for name, _ in ins}
-    extra = {s.name: cfg.clock_map[s.name] for s in mb.inputs
-             if s.name not in names_a}
+    plan, offsets = _trials_plan(ea, eb, cfg)
     if cfg.trials < 1 or cfg.cycles < 1:
         return EquivalenceVerdict("inconclusive", {"reason": "empty budget"})
 
-    out_names = [name for name, _ in outs]
-    offsets = {name: cfg.offsets.get(name, 0) for name in out_names}
-    phases = (0, 1) if clocks else (0,)
     seeds = [_mix(cfg.seed, "trial", trial) for trial in range(cfg.trials)]
-    for trial, seed in enumerate(seeds):
-        ia, ib = SimInstance(ea), SimInstance(eb)
-        steps_a, steps_b, hist_a = [], [], []
-        last_reset = -1
-        # one storm per check tests recovery from a mid-run reset; the
-        # other trials keep every cycle after the prologue for data
-        for t, (vals, in_reset) in enumerate(
-                _cycles(ins, clocks, resets, cfg, Random(seed), trial == 0)):
-            for phase in phases:
-                step_a = dict(vals)
-                for c in clocks:
-                    step_a[c] = phase
-                step_b = step_a
-                if extra:
-                    step_b = dict(step_a)
-                    for e, src in extra.items():
-                        step_b[e] = step_a[src]
-                steps_a.append(step_a)
-                steps_b.append(step_b)
-                oa = ia.eval(step_a)
-                ob = ib.eval(step_b)
-            hist_a.append(oa)
-            for name in out_names:
-                # both sides are clamped by the asynchronous reset, so
-                # inside it outputs must agree directly (offset 0)
-                k = 0 if in_reset else offsets[name]
-                if t - k <= last_reset or ob[name] == hist_a[t - k][name]:
-                    continue
-                evidence = {"trial": trial, "cycle": t, "signal": name,
-                            "offset": k, "seed": seed}
-                if in_reset:
-                    evidence["in_reset"] = True
-                cex = Counterexample(
-                    Stimulus(steps_a), Stimulus(steps_b), cycle=t,
-                    step_a=(t - k + 1) * len(phases) - 1,
-                    step_b=len(steps_b) - 1, signal=name,
-                    expected=hist_a[t - k][name], actual=ob[name])
-                return EquivalenceVerdict("inequivalent", evidence, cex)
-            if in_reset:
-                last_reset = t
-    return EquivalenceVerdict("equivalent", {
-        "mode": "random-bounded", "trials": cfg.trials,
-        "cycles_per_trial": cfg.cycles, "total_cycles": cfg.trials * cfg.cycles,
-        "seeds": seeds, "note": "bounded evidence, not a proof",
-    })
+    # one storm per check tests recovery from a mid-run reset; the other
+    # trials keep every cycle after the prologue for data
+    trial = 0
+    found = _trial_interpreted(ea, eb, plan, offsets, seeds[0], True, PROBE)
+    if found is None:
+        from . import codegen
+        rest = list(enumerate(seeds))[0 if cfg.cycles > PROBE else 1:]
+        run = codegen.trial_loop(ea, eb, plan, offsets) if rest else None
+        for trial, seed in rest:
+            if run is not None:
+                found = run(Random(seed).getrandbits, *plan.storm(trial == 0))
+            else:
+                found = _trial_interpreted(ea, eb, plan, offsets, seed,
+                                           trial == 0, cfg.cycles)
+            if found is not None:
+                break
+    if found is None:
+        return EquivalenceVerdict("equivalent", {
+            "mode": "random-bounded", "trials": cfg.trials,
+            "cycles_per_trial": cfg.cycles, "total_cycles": cfg.trials * cfg.cycles,
+            "seeds": seeds, "note": "bounded evidence, not a proof",
+        })
+    t, name, k, expected, actual = found
+    seed, storm = seeds[trial], trial == 0
+    evidence = {"trial": trial, "cycle": t, "signal": name, "offset": k,
+                "seed": seed}
+    if plan.in_reset(t, storm):
+        evidence["in_reset"] = True
+    per_cycle = 2 if plan.clocks else 1
+    cex = Counterexample(plan, seed, storm, cycle=t,
+                         step_a=(t - k + 1) * per_cycle - 1,
+                         step_b=(t + 1) * per_cycle - 1, signal=name,
+                         expected=expected, actual=actual)
+    return EquivalenceVerdict("inequivalent", evidence, cex)
 
 
 def check_equivalence(a, b, cfg: EquivConfig = None) -> EquivalenceVerdict:

@@ -1,7 +1,9 @@
 """Typed AST for the supported synthesizable Verilog subset.
 
 All nodes are frozen dataclasses: transforms build new trees instead of
-mutating, which makes sharing across threads safe. Equality is structural
+mutating, which makes sharing across threads safe, and a rewrite shares
+every subtree it leaves alone with its input. Nodes use slots, because
+callers keep many small rewritten trees (one per negative control) alive. Equality is structural
 and deliberately ignores source positions, literal bases, and labels so
 that ``parse(emit(x)) == x`` holds for any tree the toolkit produces.
 """
@@ -16,19 +18,19 @@ def _tup(seq):
     return tuple(seq) if not isinstance(seq, tuple) else seq
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Node:
     pass
 
 
 # --- expressions ----------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Expr(Node):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Literal(Expr):
     value: int
     width: Optional[int] = None  # None: unsized, adapts to context
@@ -43,20 +45,20 @@ class Literal(Expr):
             raise ValueError("literal width must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ref(Expr):
     name: str
     pos: Optional[tuple] = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Unary(Expr):
     op: str
     operand: Expr
     pos: Optional[tuple] = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Binary(Expr):
     op: str
     lhs: Expr
@@ -64,7 +66,7 @@ class Binary(Expr):
     pos: Optional[tuple] = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ternary(Expr):
     cond: Expr
     then_expr: Expr
@@ -72,14 +74,14 @@ class Ternary(Expr):
     pos: Optional[tuple] = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Index(Expr):
     subject: Expr
     index: Expr
     pos: Optional[tuple] = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Slice(Expr):
     subject: Expr
     msb: Expr
@@ -87,7 +89,7 @@ class Slice(Expr):
     pos: Optional[tuple] = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Concat(Expr):
     parts: tuple
     pos: Optional[tuple] = field(default=None, compare=False)
@@ -98,12 +100,12 @@ class Concat(Expr):
 
 # --- statements -----------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Stmt(Node):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Block(Stmt):
     stmts: tuple
     pos: Optional[tuple] = field(default=None, compare=False)
@@ -112,7 +114,7 @@ class Block(Stmt):
         object.__setattr__(self, "stmts", _tup(self.stmts))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class If(Stmt):
     cond: Expr
     then_stmt: Stmt
@@ -121,7 +123,7 @@ class If(Stmt):
     pos: Optional[tuple] = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CaseArm(Node):
     labels: tuple  # constant exprs
     body: Stmt
@@ -130,7 +132,7 @@ class CaseArm(Node):
         object.__setattr__(self, "labels", _tup(self.labels))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Case(Stmt):
     subject: Expr
     arms: tuple
@@ -141,14 +143,14 @@ class Case(Stmt):
         object.__setattr__(self, "arms", _tup(self.arms))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NonblockingAssign(Stmt):
     lhs: Expr  # Ref or constant Index/Slice
     rhs: Expr
     pos: Optional[tuple] = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BlockingAssign(Stmt):
     lhs: Expr
     rhs: Expr
@@ -157,7 +159,7 @@ class BlockingAssign(Stmt):
 
 # --- module items ---------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EdgeSensitivity(Node):
     edges: tuple  # of (edge: "pos"|"neg", signal name)
 
@@ -165,7 +167,7 @@ class EdgeSensitivity(Node):
         object.__setattr__(self, "edges", _tup(self.edges))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CombSensitivity(Node):
     signals: Optional[tuple] = None  # None means @(*)
 
@@ -174,26 +176,26 @@ class CombSensitivity(Node):
             object.__setattr__(self, "signals", _tup(self.signals))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ModuleItem(Node):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ContinuousAssign(ModuleItem):
     lhs: Expr
     rhs: Expr
     pos: Optional[tuple] = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProcBlock(ModuleItem):
     sensitivity: Union[EdgeSensitivity, CombSensitivity]
     body: Stmt
     pos: Optional[tuple] = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InstanceDecl(ModuleItem):
     module_name: str
     instance_name: str
@@ -213,7 +215,7 @@ def make_range(width: int):
     return (Literal(width - 1), Literal(0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PortDecl(Node):
     name: str
     direction: str  # "input" | "output" | "inout"
@@ -224,7 +226,7 @@ class PortDecl(Node):
     pos: Optional[tuple] = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NetDecl(Node):
     name: str
     kind: str  # "wire" | "reg"
@@ -235,7 +237,7 @@ class NetDecl(Node):
     pos: Optional[tuple] = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParamDecl(Node):
     name: str
     value: Expr
@@ -243,7 +245,7 @@ class ParamDecl(Node):
     pos: Optional[tuple] = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ModuleDecl(Node):
     name: str
     ports: tuple
@@ -278,7 +280,7 @@ class ModuleDecl(Node):
         return names
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SourceUnit(Node):
     modules: tuple
     source_name: str = field(default="<memory>", compare=False)
@@ -381,36 +383,46 @@ def refs_in(e: Expr):
     return {n.name for n in walk_expr(e) if isinstance(n, Ref)}
 
 
-def map_expr(e: Expr, fn):
-    """Rebuild an expression bottom-up, applying fn to every node."""
-    if isinstance(e, Unary):
-        e = replace(e, operand=map_expr(e.operand, fn))
-    elif isinstance(e, Binary):
-        e = replace(e, lhs=map_expr(e.lhs, fn), rhs=map_expr(e.rhs, fn))
-    elif isinstance(e, Ternary):
-        e = replace(e, cond=map_expr(e.cond, fn),
-                    then_expr=map_expr(e.then_expr, fn),
-                    else_expr=map_expr(e.else_expr, fn))
-    elif isinstance(e, Index):
-        e = replace(e, subject=map_expr(e.subject, fn), index=map_expr(e.index, fn))
-    elif isinstance(e, Slice):
-        e = replace(e, subject=map_expr(e.subject, fn),
-                    msb=map_expr(e.msb, fn), lsb=map_expr(e.lsb, fn))
-    elif isinstance(e, Concat):
-        e = replace(e, parts=tuple(map_expr(p, fn) for p in e.parts))
-    return fn(e)
-
-
-def _map_opt(e, fn):
-    return map_expr(e, fn) if e is not None and fn is not None else e
-
-
 def _with(node, **fields):
     """replace(), but node itself when every field is the object it holds."""
     for k, v in fields.items():
         if getattr(node, k) is not v:
             return replace(node, **fields)
     return node
+
+
+def _same_items(new, old):
+    """old itself when new holds the same objects in the same order."""
+    if len(new) == len(old) and all(a is b for a, b in zip(new, old)):
+        return old
+    return new
+
+
+def map_expr(e: Expr, fn):
+    """Rebuild an expression bottom-up, applying fn to every node. A node
+    whose children all come back as the same objects is kept, so a
+    rewrite shares every subtree it leaves alone with its input."""
+    if isinstance(e, Unary):
+        e = _with(e, operand=map_expr(e.operand, fn))
+    elif isinstance(e, Binary):
+        e = _with(e, lhs=map_expr(e.lhs, fn), rhs=map_expr(e.rhs, fn))
+    elif isinstance(e, Ternary):
+        e = _with(e, cond=map_expr(e.cond, fn),
+                  then_expr=map_expr(e.then_expr, fn),
+                  else_expr=map_expr(e.else_expr, fn))
+    elif isinstance(e, Index):
+        e = _with(e, subject=map_expr(e.subject, fn), index=map_expr(e.index, fn))
+    elif isinstance(e, Slice):
+        e = _with(e, subject=map_expr(e.subject, fn),
+                  msb=map_expr(e.msb, fn), lsb=map_expr(e.lsb, fn))
+    elif isinstance(e, Concat):
+        e = _with(e, parts=_same_items(tuple(map_expr(p, fn) for p in e.parts),
+                                       e.parts))
+    return fn(e)
+
+
+def _map_opt(e, fn):
+    return map_expr(e, fn) if e is not None and fn is not None else e
 
 
 def map_stmt(s: Stmt, stmt_fn=None, expr_fn=None):
@@ -423,7 +435,8 @@ def map_stmt(s: Stmt, stmt_fn=None, expr_fn=None):
     map_expr(expr_fn). Visit order: an If's cond, then branch, else
     branch; a Case's subject, then per arm its labels and its body, then
     the default; an assignment's lhs, then its rhs. With expr_fn=None,
-    expressions are kept as they are.
+    expressions are kept as they are. As in map_expr, a statement whose
+    parts all come back unchanged is kept.
     """
     if s is None:
         return None
@@ -432,17 +445,20 @@ def map_stmt(s: Stmt, stmt_fn=None, expr_fn=None):
         if out is not s:
             return out
     if isinstance(s, Block):
-        return replace(s, stmts=tuple(map_stmt(c, stmt_fn, expr_fn) for c in s.stmts))
+        return _with(s, stmts=_same_items(
+            tuple(map_stmt(c, stmt_fn, expr_fn) for c in s.stmts), s.stmts))
     if isinstance(s, If):
-        return replace(s, cond=_map_opt(s.cond, expr_fn),
-                       then_stmt=map_stmt(s.then_stmt, stmt_fn, expr_fn),
-                       else_stmt=map_stmt(s.else_stmt, stmt_fn, expr_fn))
+        return _with(s, cond=_map_opt(s.cond, expr_fn),
+                     then_stmt=map_stmt(s.then_stmt, stmt_fn, expr_fn),
+                     else_stmt=map_stmt(s.else_stmt, stmt_fn, expr_fn))
     if isinstance(s, Case):
-        return replace(s, subject=_map_opt(s.subject, expr_fn),
-                       arms=tuple(CaseArm(tuple(_map_opt(l, expr_fn) for l in a.labels),
-                                          map_stmt(a.body, stmt_fn, expr_fn))
-                                  for a in s.arms),
-                       default=map_stmt(s.default, stmt_fn, expr_fn))
+        subject = _map_opt(s.subject, expr_fn)
+        arms = tuple(_with(a, labels=_same_items(
+                         tuple(_map_opt(l, expr_fn) for l in a.labels), a.labels),
+                           body=map_stmt(a.body, stmt_fn, expr_fn))
+                     for a in s.arms)
+        return _with(s, subject=subject, arms=_same_items(arms, s.arms),
+                     default=map_stmt(s.default, stmt_fn, expr_fn))
     if isinstance(s, (NonblockingAssign, BlockingAssign)):
         return _with(s, lhs=_map_opt(s.lhs, expr_fn), rhs=_map_opt(s.rhs, expr_fn))
     return s
@@ -460,14 +476,16 @@ def map_module(m: ModuleDecl, stmt_fn=None, expr_fn=None):
     def e(x):
         return _map_opt(x, expr_fn)
 
-    ports = tuple(_with(p, msb=e(p.msb), lsb=e(p.lsb)) for p in m.ports)
-    nets = tuple(_with(d, msb=e(d.msb), lsb=e(d.lsb), init=e(d.init)) for d in m.nets)
+    ports = _same_items(tuple(_with(p, msb=e(p.msb), lsb=e(p.lsb)) for p in m.ports),
+                        m.ports)
+    nets = _same_items(tuple(_with(d, msb=e(d.msb), lsb=e(d.lsb), init=e(d.init))
+                             for d in m.nets), m.nets)
     items = []
     for item in m.items:
         if isinstance(item, ContinuousAssign):
             item = _with(item, lhs=e(item.lhs), rhs=e(item.rhs))
         elif isinstance(item, ProcBlock):
-            item = replace(item, body=map_stmt(item.body, stmt_fn, expr_fn))
+            item = _with(item, body=map_stmt(item.body, stmt_fn, expr_fn))
         elif isinstance(item, InstanceDecl):
             item = replace(item, connections=tuple(
                 (name, e(x)) for name, x in item.connections))

@@ -1,13 +1,18 @@
 """The operator table: each operator's binding level, width rule and value.
 
 A value is Python source over the operands `{l}`/`{r}` (or `{x}`), the
-result mask `m`, the result width `w` and the operand mask `om`. The
-simulator hands an operator operands already masked to their annotated
-widths, which is why `{l} >> {r}` needs no guard for counts of `w` or
-more. From each value two functions are built once, at import:
-`fold(l, r, m, w)` / `fold(x, m, om)` computes it over ints, and
-`closure(lf, rf, m, w)` / `closure(f, m, om)` returns `fn(s)` with the
-operand closures called inline, so a compiled node costs one call.
+result mask `{m}`, the result width `{w}`, the operand mask `{om}` and a
+temporary name `{sh}`. The simulator hands an operator operands already
+masked to their annotated widths, which is why `{l} >> {r}` needs no
+guard for counts of `w` or more. From each value three products are
+built once, at import: `fold(l, r, m, w)` / `fold(x, m, om)` computes it
+over ints; `closure(lf, rf, m, w)` / `closure(f, m, om)` returns `fn(s)`
+with the operand closures called inline, so a compiled node costs one
+call; and `source(l, r, m, w, sh)` / `source(x, m, om)` returns the value
+as an expression over operand source text, with the masks and widths as
+literals, for the generated trial loop (`codegen`). A caller of `source`
+passes a temporary name of its own per node, so nested shifts do not share
+one.
 """
 
 from collections import namedtuple
@@ -35,18 +40,18 @@ _BINARY = {  # op: (binding level, larger binds tighter; width rule; value)
     "<=": (7, COMPARE, "1 if {l} <= {r} else 0"),
     ">": (7, COMPARE, "1 if {l} > {r} else 0"),
     ">=": (7, COMPARE, "1 if {l} >= {r} else 0"),
-    "<<": (8, SHIFT, "(({l} << sh) & m) if (sh := {r}) < w else 0"),
+    "<<": (8, SHIFT, "(({l} << {sh}) & {m}) if ({sh} := {r}) < {w} else 0"),
     ">>": (8, SHIFT, "{l} >> {r}"),
-    "+": (9, ARITH, "({l} + {r}) & m"),
-    "-": (9, ARITH, "({l} - {r}) & m"),
-    "*": (10, ARITH, "({l} * {r}) & m"),
+    "+": (9, ARITH, "({l} + {r}) & {m}"),
+    "-": (9, ARITH, "({l} - {r}) & {m}"),
+    "*": (10, ARITH, "({l} * {r}) & {m}"),
 }
 
 _UNARY = {  # op: (width rule, value, constants it folds)
-    "~": (ARITH, "(~{x}) & m", SIZED),
-    "-": (ARITH, "(-{x}) & m", ANY),
+    "~": (ARITH, "(~{x}) & {m}", SIZED),
+    "-": (ARITH, "(-{x}) & {m}", ANY),
     "!": (LOGICAL, "0 if {x} else 1", ANY),
-    "&": (LOGICAL, "1 if {x} == om else 0", None),
+    "&": (LOGICAL, "1 if {x} == {om} else 0", None),
     "|": (LOGICAL, "1 if {x} else 0", None),
     "^": (LOGICAL, "bin({x}).count('1') & 1", None),
 }
@@ -55,8 +60,11 @@ _UNARY = {  # op: (width rule, value, constants it folds)
 UNARY_LEVEL = max(level for level, _, _ in _BINARY.values()) + 1
 
 
-BinaryOp = namedtuple("BinaryOp", "level rule fold closure")
-UnaryOp = namedtuple("UnaryOp", "rule folds fold closure")
+BinaryOp = namedtuple("BinaryOp", "level rule fold closure source")
+UnaryOp = namedtuple("UnaryOp", "rule folds fold closure source")
+
+# fold and closure keep the field names as their parameter and local names
+_NAMES = dict(m="m", w="w", om="om", sh="sh")
 
 
 def _define(op, name, params, body):
@@ -66,19 +74,34 @@ def _define(op, name, params, body):
     return ns[name]
 
 
+def _binary_source(value):
+    def source(l, r, m, w, sh):
+        return value.format(l=f"({l})", r=f"({r})", m=m, w=w, sh=sh)
+    return source
+
+
+def _unary_source(value):
+    def source(x, m, om):
+        return value.format(x=f"({x})", m=m, om=om)
+    return source
+
+
 BINARY = {
     op: BinaryOp(
         level, rule,
-        _define(op, "fold", "l, r, m, w", value.format(l="l", r="r")),
+        _define(op, "fold", "l, r, m, w", value.format(l="l", r="r", **_NAMES)),
         _define(op, "closure", "lf, rf, m, w",
-                "lambda s: " + value.format(l="lf(s)", r="rf(s)")))
+                "lambda s: " + value.format(l="lf(s)", r="rf(s)", **_NAMES)),
+        _binary_source(value))
     for op, (level, rule, value) in _BINARY.items()
 }
 
 UNARY = {
     op: UnaryOp(
         rule, folds,
-        _define(op, "fold", "x, m, om", value.format(x="x")),
-        _define(op, "closure", "f, m, om", "lambda s: " + value.format(x="f(s)")))
+        _define(op, "fold", "x, m, om", value.format(x="x", **_NAMES)),
+        _define(op, "closure", "f, m, om",
+                "lambda s: " + value.format(x="f(s)", **_NAMES)),
+        _unary_source(value))
     for op, (rule, value, folds) in _UNARY.items()
 }

@@ -1,9 +1,10 @@
 import json
+from dataclasses import replace
 
 import pytest
 
 from rtlmorph import nodes as n
-from rtlmorph import parse, elaborate, lint_synthesizable
+from rtlmorph import parse, elaborate, instantiate, lint_synthesizable
 from rtlmorph.errors import CombinationalLoop, MultipleDrivers, WidthMismatch
 from rtlmorph.evalexpr import MAX_WIDTH
 
@@ -61,6 +62,19 @@ def test_every_expression_gets_a_width(corpus_modules):
         for e in n.module_exprs(em.folded):
             for node in n.walk_expr(e):
                 assert id(node) in em.widths, (design_id, node)
+
+
+def test_shared_subtree_gets_a_width_per_place():
+    # the same `a + b` object in a 5-bit and a 4-bit context: widths are
+    # keyed by id(node), so elaboration must give each place its own node
+    unit = parse("module t(input wire [3:0] a, input wire [3:0] b,\n"
+                 "output wire [4:0] y, output wire [3:0] z);\n"
+                 "assign y = a + b;\nassign z = a + b;\nendmodule")
+    m = unit.modules[0]
+    shared = m.items[0].rhs
+    m = replace(m, items=(m.items[0], replace(m.items[1], rhs=shared)))
+    inst = instantiate(elaborate(m))
+    assert inst.eval({"a": 15, "b": 1}) == {"y": 16, "z": 0}
 
 
 def test_parameters_folded_to_constants():

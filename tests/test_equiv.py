@@ -136,6 +136,18 @@ def test_temporal_off_by_one_traffic():
     assert v.evidence["cycle"] <= 4 + 16
 
 
+def test_negative_control_shares_untouched_subtrees(corpus_modules):
+    # a rewrite rebuilds only the path to what it changed
+    original = corpus_modules["traffic_light"][1]
+    for kind in ("invert_condition", "constant_perturb"):
+        broken = negative_control(original, kind, seed=0)
+        kept = [x for x, y in zip(original.items, broken.items) if x is y]
+        assert broken != original and kept, kind
+    same = n.map_module(original, lambda s: s, lambda e: e)
+    assert all(x is y for x, y in zip(same.items, original.items))
+    assert same.ports is original.ports and same.nets is original.nets
+
+
 def test_wrong_var_update_applicability():
     logic = parse(design_text("logic_pair"))
     broken = negative_control(logic.modules[0], "wrong_var_update", seed=5)
