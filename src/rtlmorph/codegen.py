@@ -2,14 +2,13 @@
 
 For a pair of elaborated designs, `trial_loop` emits the source of one
 function that runs a whole randomized trial of both designs, with every
-signal of both held in a local variable, and `compile()`s it.
-`vector_sweep` does the same for the exhaustive combinational check. This
-is levelized compiled-code simulation (Wang et al., "SSIM: A Software
+signal of both held in a local variable, and `compile()`s it. This is
+levelized compiled-code simulation (Wang et al., "SSIM: A Software
 Levelized Compiled-Code Simulator", DAC 1987): elaboration's `comb_order`
 is topological, so one pass over the combinational units settles a design.
 
-Each step follows `sim.SimInstance.eval`, the reference these functions
-are tested against: find the clocked blocks whose edge lists see a
+Each step follows `sim.SimInstance.eval`, the reference the function is
+tested against: find the clocked blocks whose edge lists see a
 transition, apply the new inputs, settle, run the fired bodies into
 nonblocking temporaries, commit them, settle again. Edges on clocks are
 resolved when the source is built, because the clock pattern is fixed (it
@@ -312,19 +311,6 @@ class _Design:
         self.settle()
 
 
-def _pair(ea, eb, src, extras=()):
-    """The two designs of a check, sharing one local per input of the
-    first design; an input of the second design copied from a clock map
-    gets its own."""
-    ma, mb = ea.top_module, eb.top_module
-    inputs = {s.name: f"in_{i}" for i, s in enumerate(ma.inputs)}
-    for i, (e, _) in enumerate(extras):
-        inputs[e] = f"ex_{i}"
-    da = _Design(ma, "a", inputs, src)
-    db = _Design(mb, "b", inputs, src)
-    return da, db, inputs
-
-
 def _zero(src, names):
     for i in range(0, len(names), 16):
         src(" = ".join(names[i:i + 16]) + " = 0")
@@ -349,7 +335,13 @@ def trial_loop(ea, eb, plan, offsets):
     if any(width_b[e] != width_a[src] for e, src in extras):
         return None  # a narrower copy would need the interpreter's masking
     src = _Source()
-    da, db, inputs = _pair(ea, eb, src, extras)
+    # one local per input of the first design, shared by both; an input of
+    # the second design copied from a clock map gets its own
+    inputs = {s.name: f"in_{i}" for i, s in enumerate(ma.inputs)}
+    for i, (e, _) in enumerate(extras):
+        inputs[e] = f"ex_{i}"
+    da = _Design(ma, "a", inputs, src)
+    db = _Design(mb, "b", inputs, src)
     if not (da.simulatable() and db.simulatable()):
         return None
 
@@ -451,37 +443,4 @@ def trial_loop(ea, eb, plan, offsets):
                         src(f"return t, {name!r}, {k}, {expected}, {b}")
         src("return None")
     return src.compile("trial", {"SETTLE_CAP": SETTLE_CAP,
-                                 "SettleDivergence": SettleDivergence})
-
-
-def vector_sweep(ea, eb, ins, out_names):
-    """Compile the exhaustive check of two combinational designs, or
-    return None when the pair must stay on the interpreter.
-
-    The function is `sweep(stop)`: for v in range(stop) it packs v into
-    the inputs (`ins` is (name, width) pairs, LSB-first), settles both
-    designs and returns the first divergence as (v, output, expected,
-    actual), checking `out_names` in order; None when all agree.
-    """
-    src = _Source()
-    da, db, inputs = _pair(ea, eb, src)
-    if not (da.simulatable() and db.simulatable()):
-        return None
-    with src.block("def sweep(stop):"):
-        _zero(src, sorted(set(da.local.values()) | set(db.local.values())))
-        da.settle()
-        db.settle()
-        with src.block("for v in range(stop):"):
-            off = 0
-            for name, w in ins:
-                src(f"{inputs[name]} = (v >> {off}) & {(1 << w) - 1}")
-                off += w
-            da.settle()
-            db.settle()
-            for name in out_names:
-                a, b = da.local[name], db.local[name]
-                with src.block(f"if {a} != {b}:"):
-                    src(f"return v, {name!r}, {a}, {b}")
-        src("return None")
-    return src.compile("sweep", {"SETTLE_CAP": SETTLE_CAP,
                                  "SettleDivergence": SettleDivergence})

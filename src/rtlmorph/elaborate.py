@@ -322,9 +322,15 @@ def _elaborate_module(m: n.ModuleDecl, unit: n.SourceUnit):
             add_driver(base, f"assign#{idx}")
             reads = n.refs_in(item.rhs)
             if isinstance(item.lhs, (n.Index, n.Slice)):
-                for e in n.expr_children(item.lhs):
+                for e in n.expr_children(item.lhs)[1:]:
                     reads |= n.refs_in(e)
-                reads.discard(base)
+                if base in reads:
+                    # a read of the written signal orders nothing between
+                    # units; its bits must not form a loop among themselves
+                    from . import bitblast
+                    if bitblast.bit_loop(item, widths, width_of):
+                        raise CombinationalLoop([base])
+                    reads.discard(base)
             comb_units.append(CombUnit("assign", idx, base, frozenset(reads),
                                        frozenset([base]), item))
         elif isinstance(item, n.ProcBlock):
@@ -471,15 +477,18 @@ def _covers(s, target, subject_width_of):
             return False
         if s.default is not None:
             return _covers(s.default, target, subject_width_of)
+        w = subject_width_of(s.subject)
+        if w is None:
+            return False
         labels = set()
         for a in s.arms:
             for l in a.labels:
                 got = ev.try_const(l)
                 if got is None:
                     return False
-                labels.add(got[0])
-        w = subject_width_of(s.subject)
-        return w is not None and len(labels) == (1 << w)
+                if 0 <= got[0] < 1 << w:  # a label out of range never matches
+                    labels.add(got[0])
+        return len(labels) == 1 << w
     if isinstance(s, (n.BlockingAssign, n.NonblockingAssign)):
         return isinstance(s.lhs, n.Ref) and s.lhs.name == target
     return False

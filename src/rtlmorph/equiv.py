@@ -8,13 +8,21 @@ randomized trials with a reset prologue and per-output latency alignment
 (offsets come from the mutant's MutationRecord). An Inequivalent verdict
 always carries a replayable counterexample.
 
-Two loops decide a verdict, with the same stimulus and comparison rule.
-The closure interpreter (`sim.SimInstance`) runs first, as a probe: the
-first PROBE cycles of trial 0, or the first PROBE vectors of an
-exhaustive sweep. A divergence there is the verdict. A pair that agrees
-through the probe gets a generated loop (`codegen`), which runs the whole
-check from its start and decides "equivalent", or the first divergence
-after the probe; a pair the generator declines stays on the interpreter.
+Which loop decides a verdict: the closure interpreter (`sim.SimInstance`)
+runs first, as a probe: the first PROBE cycles of trial 0, or the first
+PROBE vectors of an exhaustive check. A divergence there is the verdict.
+For a pair that agrees through the probe,
+
+- the randomized check gets a generated loop (`codegen`), which runs the
+  whole check from its start with the same stimulus and comparison rule
+  and decides "equivalent" or the first divergence after the probe;
+- the exhaustive check lowers both designs to one hashed gate DAG
+  (`bitblast`) and reads its output-XOR miter on truth tables over the
+  remaining vectors, in windows that double from PROBE. A miter that
+  folds to constant 0 decides "equivalent" without reading any table;
+  otherwise the lowest set bit is the first divergence.
+
+A pair the generator or the lowering declines stays on the interpreter.
 The counterexample is built from the divergence the deciding loop
 reports, and its stimulus is drawn again from the check's input plan
 when read, so `replay` and `export` go through the interpreter.
@@ -121,8 +129,10 @@ class _Trials(NamedTuple):
 
 class _Vectors(NamedTuple):
     """The exhaustive check's inputs: vector v packs them LSB-first in
-    port order."""
+    port order. A pair whose logic holds state from one vector to the
+    next (`stateful`) replays from vector 0; any other from v alone."""
     ins: tuple  # (name, width)
+    stateful: bool = False
 
     def assign(self, v):
         assign = {}
@@ -133,7 +143,7 @@ class _Vectors(NamedTuple):
         return assign
 
     def steps(self, seed, storm, cycle, side):
-        return [self.assign(cycle)]
+        return [self.assign(v) for v in range(0 if self.stateful else cycle, cycle + 1)]
 
 
 @dataclass(frozen=True, slots=True)
@@ -143,7 +153,8 @@ class Counterexample:
 
     The stimulus is drawn again from the check's input plan on each
     access: from the trial's seed and storm flag for a randomized check,
-    from the vector (`cycle`) for an exhaustive one."""
+    from the vector (`cycle`) for an exhaustive one, or from vectors 0 to
+    `cycle` on a pair that holds state from one vector to the next."""
     plan: object  # _Trials | _Vectors
     seed: Optional[int]
     storm: bool
@@ -244,9 +255,10 @@ def _check_ports(ea, eb, clock_map):
 # --- exhaustive combinational check -------------------------------------------
 
 # Both checks first run the interpreter over this many vectors (or cycles of
-# trial 0) and compile a generated loop only for a pair that agrees on all
-# of them: most broken pairs diverge this early, and building the loop
-# costs more than interpreting them.
+# trial 0) and build anything else only for a pair that agrees on all of
+# them: most broken pairs diverge this early, and building costs more than
+# interpreting them. A power of two, so the exhaustive check's truth-table
+# windows double from it.
 PROBE = 32
 
 
@@ -264,7 +276,12 @@ def _sweep_interpreted(ea, eb, plan, out_names, stop):
 
 
 def check_comb_exhaustive(a, b) -> EquivalenceVerdict:
-    """All 2^w input assignments; inputs packed LSB-first in port order."""
+    """All 2^w input assignments; inputs packed LSB-first in port order.
+    After the probe, truth tables on `bitblast.Miter` decide, or the
+    interpreter sweeping from vector 0 for a pair the lowering declines.
+    A pair declined for latch-style state keeps vectors 0..v as its
+    counterexample's stimulus, since its outputs depend on earlier
+    vectors."""
     ea, eb = _design(a), _design(b)
     ma, mb = ea.top_module, eb.top_module
     for em, which in ((ma, "first"), (mb, "second")):
@@ -278,18 +295,25 @@ def check_comb_exhaustive(a, b) -> EquivalenceVerdict:
     out_names = [name for name, _ in outs]
     vectors = 1 << total
     found = _sweep_interpreted(ea, eb, plan, out_names, min(PROBE, vectors))
-    if found is None and vectors > PROBE:
-        from . import codegen  # only a pair that survives its probe needs it
-        # the sweep starts again at vector 0: a latch-style block carries
-        # state from one vector to the next
-        sweep = codegen.vector_sweep(ea, eb, plan.ins, out_names)
-        found = sweep(vectors) if sweep is not None else \
+    rest = found is None and vectors > PROBE
+    from . import bitblast  # imported on first use, like codegen
+    miter = None
+    # lowered: a pair that survives its probe, and one that diverges in it
+    # but may hold state, so its counterexample replays
+    if rest or found is not None and (bitblast.may_hold_state(ma) or
+                                      bitblast.may_hold_state(mb)):
+        try:
+            miter = bitblast.Miter(ea, eb, plan.ins, out_names)
+        except bitblast.Declined as declined:
+            plan = plan._replace(stateful=declined.stateful)
+    if rest:
+        found = miter.first_divergence(PROBE, vectors) if miter is not None else \
             _sweep_interpreted(ea, eb, plan, out_names, vectors)
     if found is None:
         return EquivalenceVerdict("equivalent", {"vectors": vectors, "mode": "exhaustive"})
     v, sig, expected, actual = found
-    # combinational: a one-step stimulus replays the divergence
-    cex = Counterexample(plan, None, False, cycle=v, step_a=0, step_b=0,
+    step = v if plan.stateful else 0
+    cex = Counterexample(plan, None, False, cycle=v, step_a=step, step_b=step,
                          signal=sig, expected=expected, actual=actual)
     return EquivalenceVerdict("inequivalent",
                               {"vectors_tried": v + 1, "inputs": plan.assign(v)},

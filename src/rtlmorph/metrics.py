@@ -41,10 +41,6 @@ class MetricSet:
     def value(self, name):
         return getattr(self, name)
 
-    def scaled(self, k):
-        return MetricSet(self.wires * k, self.cells * k, self.area * k,
-                         self.delay * k, self.power * k, dict(self.provenance))
-
     def to_dict(self):
         d = {name: self.value(name) for name in METRIC_NAMES}
         d["provenance"] = dict(self.provenance)
@@ -296,23 +292,6 @@ def render_report(report: CategoryReport, fmt: str = "markdown") -> str:
                 lines.append(f"{report.category},{method},{metric},{mean_s},{arrow}")
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown format: {fmt}")
-
-
-def parse_report_csv(text: str) -> CategoryReport:
-    lines = [l for l in text.strip().split("\n") if l]
-    if lines[0] != "category,method,metric,mean,arrow":
-        raise UnparsableReport("not a report CSV")
-    category = None
-    methods = []
-    means, arrows = {}, {}
-    for line in lines[1:]:
-        cat, method, metric, mean_s, arrow = line.split(",")
-        category = cat
-        if method not in methods:
-            methods.append(method)
-        means[(method, metric)] = None if mean_s == "" else float(mean_s)
-        arrows[(method, metric)] = arrow
-    return CategoryReport(category, tuple(methods), means, arrows)
 
 
 def ratios_to_jsonl(ratios) -> str:

@@ -46,26 +46,12 @@ _TEMPLATES = (
 
 
 def check_tautology(pred: n.Expr, support, width_of) -> bool:
-    """Exhaustive truth over every assignment to the support signals."""
-    from ..evalexpr import annotate
-    from ..sim import _compile_expr
-    fields, total = [], 0
-    for s in support:
-        w = width_of(s)
-        fields.append((s, total, (1 << w) - 1))
-        total += w
-    if total > TAUTOLOGY_WIDTH_CAP:
+    """Exhaustive truth over every assignment to the support signals: the
+    predicate's truth table over them is all ones (`bitblast`)."""
+    if sum(width_of(s) for s in support) > TAUTOLOGY_WIDTH_CAP:
         return False
-    widths = {}
-    annotate(pred, width_of, widths)
-    f = _compile_expr(pred, widths)
-    env = {}
-    for v in range(1 << total):
-        for s, off, mask in fields:
-            env[s] = (v >> off) & mask
-        if f(env) != 1:
-            return False
-    return True
+    from .. import bitblast
+    return bitblast.tautology(pred, support, width_of)
 
 
 def gen_opaque_predicate(signals, seed=0) -> OpaquePredicate:

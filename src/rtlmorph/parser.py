@@ -36,10 +36,6 @@ class _Parser:
     def cur(self):
         return self.toks[self.i]
 
-    def peek(self, k=1):
-        j = min(self.i + k, len(self.toks) - 1)
-        return self.toks[j]
-
     def at(self, kind, text=None):
         t = self.cur
         return t.kind == kind and (text is None or t.text == text)

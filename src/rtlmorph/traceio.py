@@ -7,17 +7,6 @@ from . import nodes as n
 from .emitter import emit
 
 
-def trace_to_csv(trace, outputs=None) -> str:
-    """Header = output names, one row per step."""
-    if len(trace) == 0 and not outputs:
-        return "\n"
-    names = list(outputs) if outputs else sorted(trace.steps[0])
-    lines = [",".join(names)]
-    for step in trace.steps:
-        lines.append(",".join(str(step[name]) for name in names))
-    return "\n".join(lines) + "\n"
-
-
 def stimulus_to_csv(stim) -> str:
     if len(stim) == 0:
         return "\n"

@@ -1,4 +1,4 @@
-"""The generated trial loop and vector sweep against the interpreter.
+"""The generated trial loop against the interpreter.
 
 `codegen` compiles one function per oracle check that steps both designs
 with every signal in a local; `equiv` keeps the closure interpreter
@@ -11,7 +11,7 @@ from random import Random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from rtlmorph import codegen, equiv, morph, nodes as n
+from rtlmorph import bitblast, codegen, equiv, morph, nodes as n
 from rtlmorph.elaborate import elaborate
 from rtlmorph.equiv import NEGATIVE_KINDS, EquivConfig, negative_control
 from rtlmorph.errors import NoApplicableSite, WidthMismatch
@@ -22,7 +22,6 @@ from test_rewrite_stability import MUTANT_PAIRS
 from test_semantics import SIGNALS, _exprs, _module_for
 
 BUDGET = dict(trials=2, cycles=200)
-SWEEP_CAP = 1 << 12  # vectors compared per exhaustive pair
 
 
 def trials_agree(a, b, cfg, label=None):
@@ -41,27 +40,6 @@ def trials_agree(a, b, cfg, label=None):
         assert repr(got) == repr(want), (label, trial, got, want)
         found.append(got)
     return found
-
-
-def sweep_agrees(a, b):
-    """The exhaustive sweep on both loops, up to SWEEP_CAP vectors."""
-    ea, eb = equiv._design(a), equiv._design(b)
-    ins, outs = equiv._check_ports(ea.top_module, eb.top_module, {})
-    plan = equiv._Vectors(tuple(ins))
-    out_names = [name for name, _ in outs]
-    stop = min(1 << sum(w for _, w in ins), SWEEP_CAP)
-    sweep = codegen.vector_sweep(ea, eb, plan.ins, out_names)
-    assert sweep is not None
-    want = equiv._sweep_interpreted(ea, eb, plan, out_names, stop)
-    got = sweep(stop)
-    assert repr(got) == repr(want)
-    return got
-
-
-def exhaustive(module):
-    em = equiv._design(module).top_module
-    return not any(b.kind == "clocked" for b in em.blocks) and \
-        sum(s.width for s in em.inputs) <= 20
 
 
 @settings(max_examples=300)
@@ -111,16 +89,13 @@ def corpus_pairs(corpus):
 
 def test_corpus_trials_match_the_interpreter(corpus_modules):
     corpus = {d: m for d, (_, m) in corpus_modules.items()}
-    diverged = agreed = swept = 0
+    diverged = agreed = 0
     for label, a, b, cfg in corpus_pairs(corpus):
         found = trials_agree(n.SourceUnit((a,)), n.SourceUnit((b,)), cfg, label)
         diverged += any(found)
         agreed += not any(found)
-        if exhaustive(a) and exhaustive(b):
-            sweep_agrees(n.SourceUnit((a,)), n.SourceUnit((b,)))
-            swept += 1
-    # both outcomes, and the exhaustive sweep, are exercised
-    assert diverged > 100 and agreed > 40 and swept > 40, (diverged, agreed, swept)
+    # both outcomes are exercised
+    assert diverged > 100 and agreed > 40, (diverged, agreed)
 
 
 COUNTER = """
@@ -225,8 +200,6 @@ def test_hand_written_trials_match_the_interpreter(gold, other, clock_map, same)
     a, b = parse(gold), parse(other)
     found = trials_agree(a, b, EquivConfig(clock_map=clock_map, **BUDGET))
     assert (not any(found)) == same
-    if exhaustive(a) and exhaustive(b):
-        assert (sweep_agrees(a, b) is None) == same
 
 
 def test_part_select_chain_keeps_the_fixpoint():
@@ -238,9 +211,9 @@ def test_part_select_chain_keeps_the_fixpoint():
 
 def test_probe_detections_compile_nothing(monkeypatch, corpus_modules):
     built = []
-    for name in ("trial_loop", "vector_sweep"):
-        real = getattr(codegen, name)
-        monkeypatch.setattr(codegen, name, lambda *args, real=real:
+    for module, name in ((codegen, "trial_loop"), (bitblast, "Miter")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, real=real:
                             built.append(real.__name__) or real(*args))
     comb = "module m(input wire [3:0] a, input wire [3:0] b, output wire [3:0] y);" \
         " assign y = {body}; endmodule"
@@ -257,7 +230,7 @@ def test_probe_detections_compile_nothing(monkeypatch, corpus_modules):
     assert equiv.check_equivalence(counter, counter, EquivConfig(**BUDGET)).is_equivalent
     gold = parse(comb.format(body="a & b"))
     assert equiv.check_equivalence(gold, parse(comb.format(body="b & a"))).is_equivalent
-    assert built == ["trial_loop", "vector_sweep"]
+    assert built == ["trial_loop", "Miter"]
 
 
 DEEP = """

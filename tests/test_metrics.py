@@ -6,12 +6,34 @@ from hypothesis import given, strategies as st
 from rtlmorph import parse
 from rtlmorph.errors import MisalignedDesignSets, UnparsableReport
 from rtlmorph.metrics import (
-    METRIC_NAMES, MetricSet, NormalizedRatio, aggregate, normalize,
-    parse_report_csv, parse_tool_stat, parse_tool_stat_json, ratios_to_jsonl,
+    METRIC_NAMES, CategoryReport, MetricSet, NormalizedRatio, aggregate,
+    normalize, parse_tool_stat, parse_tool_stat_json, ratios_to_jsonl,
     render_report, structural_stats,
 )
 
 from conftest import design_text
+
+
+def scaled(m, k):
+    return MetricSet(m.wires * k, m.cells * k, m.area * k, m.delay * k,
+                     m.power * k, dict(m.provenance))
+
+
+def parse_report_csv(text):
+    """A report rendered as CSV, read back."""
+    lines = [l for l in text.strip().split("\n") if l]
+    assert lines[0] == "category,method,metric,mean,arrow"
+    category = None
+    methods = []
+    means, arrows = {}, {}
+    for line in lines[1:]:
+        cat, method, metric, mean_s, arrow = line.split(",")
+        category = cat
+        if method not in methods:
+            methods.append(method)
+        means[(method, metric)] = None if mean_s == "" else float(mean_s)
+        arrows[(method, metric)] = arrow
+    return CategoryReport(category, tuple(methods), means, arrows)
 
 
 def test_tool_stat_text():
@@ -111,7 +133,7 @@ def test_scale_invariance(k, vals):
     m = MetricSet(*vals)
     ref = MetricSet(5, 4, 3, 2, 1)
     a = [(r.metric, r.value) for r in normalize(m, ref)]
-    b = [(r.metric, r.value) for r in normalize(m.scaled(k), ref.scaled(k))]
+    b = [(r.metric, r.value) for r in normalize(scaled(m, k), scaled(ref, k))]
     for (ma, va), (mb, vb) in zip(a, b):
         assert ma == mb
         assert va == pytest.approx(vb, rel=1e-9)

@@ -6,10 +6,9 @@ import pytest
 
 from rtlmorph import nodes as n
 from rtlmorph import parse, elaborate, instantiate, BranchCounters, Stimulus
-from rtlmorph.errors import RtlmorphError, SettleDivergence, UnsupportedConstruct
+from rtlmorph.errors import CombinationalLoop, RtlmorphError, UnsupportedConstruct
 from rtlmorph.traceio import (
-    emit_cosim_bundle, parse_cosim_output, stimulus_to_csv, trace_to_csv,
-    write_vcd,
+    emit_cosim_bundle, parse_cosim_output, stimulus_to_csv, write_vcd,
 )
 
 from conftest import design_text
@@ -253,15 +252,15 @@ endmodule
     assert inst.eval({"a": 1})["y"] == 3
 
 
-def test_bit_loop_within_one_signal_diverges():
+def test_bit_loop_within_one_signal_is_rejected_at_elaboration():
     text = """module t(input wire a, output wire y);
     wire [1:0] x;
     assign x[0] = ~x[0];
     assign y = x[0];
 endmodule
 """
-    with pytest.raises(SettleDivergence):
-        instantiate(elaborate(parse(text)))
+    with pytest.raises(CombinationalLoop):
+        elaborate(parse(text))
 
 def test_instances_not_simulatable():
     text = """module leaf(input wire a, output wire y);
@@ -273,6 +272,15 @@ endmodule
 """
     with pytest.raises(UnsupportedConstruct):
         instantiate(elaborate(parse(text), top="top"))
+
+
+def trace_to_csv(trace):
+    """Header = output names, one row per step."""
+    names = sorted(trace.steps[0])
+    lines = [",".join(names)]
+    for step in trace.steps:
+        lines.append(",".join(str(step[name]) for name in names))
+    return "\n".join(lines) + "\n"
 
 
 def test_trace_csv_and_vcd(tmp_path, counter_design):
