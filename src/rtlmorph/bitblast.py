@@ -20,8 +20,9 @@ The lowering declines what a table cannot stand for (`Declined`): a
 combinational block that leaves a target bit unassigned on some path, or
 reads one before assigning it (the value would come from an earlier
 vector: latch-style state), a part-select assign that reads its own base
-(the interpreter settles it to a fixpoint), and a nonblocking assign in a
-combinational block (the interpreter fails when it runs).
+(`CombUnit.self_read`: the simulators iterate it to a fixpoint), and a
+nonblocking assign in a combinational block (the interpreter fails when
+it runs).
 """
 
 from . import nodes as n
@@ -188,12 +189,6 @@ def _merge(g, s, t, e):
     return g.mux(s, t, e)
 
 
-def _reads_own_base(assign):
-    base = n.lvalue_base(assign.lhs)
-    exprs = (assign.rhs,) + tuple(n.expr_children(assign.lhs)[1:])
-    return any(base in n.refs_in(e) for e in exprs)
-
-
 class _Lowering:
     """Expressions and statements of one module as literals of `net`.
     `bits` maps each signal to its current bits, LSB first; inside a
@@ -234,7 +229,7 @@ class _Lowering:
             return _fill(shifted[:1], w)
         if isinstance(e, n.Slice):
             subject = self.expr(e.subject)
-            return _fill(subject[const_value(e.lsb):][:w], w)
+            return _fill(subject[const_value(e.lsb):const_value(e.msb) + 1], w)
         if isinstance(e, n.Concat):
             bits = []
             for p in reversed(e.parts):
@@ -360,7 +355,7 @@ def lower_module(net, em, inputs):
             if u.kind == "init":
                 bits[u.node.name] = low.expr(u.node.init)
             elif u.kind == "assign":
-                if _reads_own_base(u.node):
+                if u.self_read:
                     raise Declined("a part-select assign reads its own base")
                 target = [_HELD] * em.signals[u.target_hint].width
                 low.write(target, u.node.lhs, low.expr(u.node.rhs))

@@ -6,6 +6,9 @@ signal of both held in a local variable, and `compile()`s it. This is
 levelized compiled-code simulation (Wang et al., "SSIM: A Software
 Levelized Compiled-Code Simulator", DAC 1987): elaboration's `comb_order`
 is topological, so one pass over the combinational units settles a design.
+A unit that reads its own target (`CombUnit.self_read`) runs in a local
+loop until its targets stop changing, capped at `SETTLE_CAP` as in the
+interpreter.
 
 Each step follows `sim.SimInstance.eval`, the reference the function is
 tested against: find the clocked blocks whose edge lists see a
@@ -16,10 +19,8 @@ falls in the first step of a cycle, except in cycle 0, and rises in the
 second). The settle before the rising edge is left out when no
 combinational unit reads a clock, since nothing it reads has changed.
 
-A design with a part-select write whose unit also reads the written
-signal keeps the interpreter's fixpoint settle: elaboration drops that
-read from the ordering, so one pass may fall short. Operator values come
-from `ops`. Nothing is cached; a function lives as long as its check.
+Operator values come from `ops`. Nothing is cached; a function lives as
+long as its check.
 """
 
 from contextlib import contextmanager
@@ -76,28 +77,6 @@ def _writes(s, kind):
     return {n.lvalue_base(a.lhs) for a in n.walk_stmts(s) if isinstance(a, kind)}
 
 
-def _part_select_loop(unit):
-    """True when a unit writes part of a signal that it also reads."""
-    if unit.kind == "init":
-        return False
-    if unit.kind == "assign":
-        assigns = [unit.node]
-        exprs = [unit.node.rhs]
-    else:
-        stmts = list(n.walk_stmts(unit.node.body))
-        assigns = [s for s in stmts if isinstance(s, (n.BlockingAssign,
-                                                      n.NonblockingAssign))]
-        exprs = [e for s in stmts if not isinstance(s, (n.BlockingAssign,
-                                                         n.NonblockingAssign))
-                 for e in n.stmt_exprs(s)] + [a.rhs for a in assigns]
-    bases = set()
-    for a in assigns:
-        if isinstance(a.lhs, (n.Index, n.Slice)):
-            bases.add(n.lvalue_base(a.lhs))
-            exprs.extend(n.expr_children(a.lhs)[1:])
-    return any(bases & n.refs_in(e) for e in exprs)
-
-
 class _Design:
     """Source for one design of the pair. Its signals are the locals
     `<prefix>_<index>`; inputs use the shared locals the caller names."""
@@ -107,7 +86,6 @@ class _Design:
         self.src = src
         self.local = {name: input_locals.get(name, f"{prefix}_{i}")
                       for i, name in enumerate(em.signals)}
-        self.fixpoint = any(_part_select_loop(u) for u in em.comb_order)
         self.clocked = _clocked_items(em)
 
     def simulatable(self):
@@ -145,7 +123,9 @@ class _Design:
             return (f"(({subject}) >> {i}) & 1 if ({i} := {self.expr(e.index)}) "
                     f"< {sub_w} else 0")
         if isinstance(e, n.Slice):
-            return f"(({self.expr(e.subject)}) >> {const_value(e.lsb)}) & {mask}"
+            lo = const_value(e.lsb)
+            sel = (1 << (const_value(e.msb) - lo + 1)) - 1
+            return f"(({self.expr(e.subject)}) >> {lo}) & {sel}"
         if isinstance(e, n.Concat):
             acc = None
             for p in e.parts:
@@ -233,31 +213,27 @@ class _Design:
     # --- settle and clocked blocks ------------------------------------------
 
     def settle(self):
-        units = self.em.comb_order
-        if not units:
-            return
-        if not self.fixpoint:
-            self._units()
-            return
         src = self.src
-        written = sorted({self.local[w] for u in units for w in u.writes})
-        state = f"({', '.join(written)},)"
-        with src.block("for _ in range(SETTLE_CAP):"):
-            src(f"snap = {state}")
-            self._units()
-            with src.block(f"if {state} == snap:"):
-                src("break")
-        with src.block("else:"):
-            src('raise SettleDivergence(f"no fixpoint after {SETTLE_CAP} iterations")')
-
-    def _units(self):
         for u in self.em.comb_order:
-            if u.kind == "block":
-                self.stmt(u.node.body)
-            elif u.kind == "init":
-                self.src(f"{self.local[u.node.name]} = {self.expr(u.node.init)}")
-            else:
-                self.write(u.node.lhs, self.expr(u.node.rhs))
+            if not u.self_read:
+                self._unit(u)
+                continue
+            targets = f"({', '.join(self.local[t] for t in sorted(u.writes))},)"
+            with src.block("for _ in range(SETTLE_CAP):"):
+                src(f"snap = {targets}")
+                self._unit(u)
+                with src.block(f"if {targets} == snap:"):
+                    src("break")
+            with src.block("else:"):
+                src('raise SettleDivergence(f"no fixpoint after {SETTLE_CAP} iterations")')
+
+    def _unit(self, u):
+        if u.kind == "block":
+            self.stmt(u.node.body)
+        elif u.kind == "init":
+            self.src(f"{self.local[u.node.name]} = {self.expr(u.node.init)}")
+        else:
+            self.write(u.node.lhs, self.expr(u.node.rhs))
 
     def reads_any(self, names):
         return any(u.reads & names for u in self.em.comb_order)

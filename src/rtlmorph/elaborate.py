@@ -68,6 +68,9 @@ class CombUnit:
     reads: frozenset
     writes: frozenset
     node: object  # ContinuousAssign | NetDecl | ProcBlock
+    # a part-select write reads its own base: that read orders nothing, and
+    # the unit settles by iterating to a fixpoint of its own targets
+    self_read: bool = False
 
 
 @dataclass
@@ -192,21 +195,23 @@ def _storage_kind(m: n.ModuleDecl, signals, name):
     return signals[name].kind
 
 
-def _reads_of_stmt(s, written):
+def _reads_of_stmt(s, written, dropped):
     """Names read by a statement, ignoring reads of names already written
-    earlier in straight-line order (blocking-assign data flow)."""
+    earlier in straight-line order (blocking-assign data flow). A
+    part-select write that reads its own base adds the base to `dropped`
+    instead of the reads."""
     reads = set()
     if isinstance(s, n.Block):
         for c in s.stmts:
-            reads |= _reads_of_stmt(c, written)
+            reads |= _reads_of_stmt(c, written, dropped)
         return reads
     if isinstance(s, n.If):
         reads |= n.refs_in(s.cond) - written
         w_then = set(written)
-        reads |= _reads_of_stmt(s.then_stmt, w_then)
+        reads |= _reads_of_stmt(s.then_stmt, w_then, dropped)
         w_else = set(written)
         if s.else_stmt is not None:
-            reads |= _reads_of_stmt(s.else_stmt, w_else)
+            reads |= _reads_of_stmt(s.else_stmt, w_else, dropped)
         written |= (w_then & w_else)
         return reads
     if isinstance(s, n.Case):
@@ -216,11 +221,11 @@ def _reads_of_stmt(s, written):
             for l in arm.labels:
                 reads |= n.refs_in(l) - written
             w = set(written)
-            reads |= _reads_of_stmt(arm.body, w)
+            reads |= _reads_of_stmt(arm.body, w, dropped)
             branch_written.append(w)
         if s.default is not None:
             w = set(written)
-            reads |= _reads_of_stmt(s.default, w)
+            reads |= _reads_of_stmt(s.default, w, dropped)
             branch_written.append(w)
         else:
             branch_written.append(set(written))  # fall-through path writes nothing
@@ -230,9 +235,12 @@ def _reads_of_stmt(s, written):
     if isinstance(s, (n.NonblockingAssign, n.BlockingAssign)):
         reads |= n.refs_in(s.rhs) - written
         if isinstance(s.lhs, (n.Index, n.Slice)):
-            for e in n.expr_children(s.lhs):
+            for e in n.expr_children(s.lhs)[1:]:
                 reads |= n.refs_in(e) - written
-            reads.discard(n.lvalue_base(s.lhs))
+            base = n.lvalue_base(s.lhs)
+            if base in reads:
+                reads.discard(base)
+                dropped.add(base)
         if isinstance(s, n.BlockingAssign) and isinstance(s.lhs, n.Ref):
             written.add(s.lhs.name)
         return reads
@@ -321,6 +329,7 @@ def _elaborate_module(m: n.ModuleDecl, unit: n.SourceUnit):
             ev.annotate(item.rhs, width_of, widths, lw)
             add_driver(base, f"assign#{idx}")
             reads = n.refs_in(item.rhs)
+            self_read = False
             if isinstance(item.lhs, (n.Index, n.Slice)):
                 for e in n.expr_children(item.lhs)[1:]:
                     reads |= n.refs_in(e)
@@ -331,12 +340,14 @@ def _elaborate_module(m: n.ModuleDecl, unit: n.SourceUnit):
                     if bitblast.bit_loop(item, widths, width_of):
                         raise CombinationalLoop([base])
                     reads.discard(base)
+                    self_read = True
             comb_units.append(CombUnit("assign", idx, base, frozenset(reads),
-                                       frozenset([base]), item))
+                                       frozenset([base]), item, self_read))
         elif isinstance(item, n.ProcBlock):
             _annotate_stmt(item.body, width_of, widths)
             writes = n.assigned_names(item.body)
-            reads = _reads_of_stmt(item.body, set())
+            dropped = set()
+            reads = _reads_of_stmt(item.body, set(), dropped)
             for w in writes:
                 if signals[w].kind == "input":
                     raise IllegalAssignment(f"process assigns input port {w}")
@@ -362,7 +373,8 @@ def _elaborate_module(m: n.ModuleDecl, unit: n.SourceUnit):
                 em.blocks.append(BlockInfo(idx, "comb", (), (),
                                            frozenset(reads), frozenset(writes)))
                 comb_units.append(CombUnit("block", idx, ",".join(sorted(writes)),
-                                           frozenset(reads), frozenset(writes), item))
+                                           frozenset(reads), frozenset(writes), item,
+                                           bool(dropped)))
         elif isinstance(item, n.InstanceDecl):
             _check_instance(item, unit, signals, width_of, widths)
         else:

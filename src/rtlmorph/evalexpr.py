@@ -186,7 +186,7 @@ def evaluate(e: n.Expr, env, widths: dict) -> int:
     if isinstance(e, n.Slice):
         v = evaluate(e.subject, env, widths)
         lo = const_value(e.lsb)
-        return (v >> lo) & mask
+        return (v >> lo) & ((1 << (const_value(e.msb) - lo + 1)) - 1)
     if isinstance(e, n.Concat):
         acc = 0
         for p in e.parts:

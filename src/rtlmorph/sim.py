@@ -12,6 +12,11 @@ matching transition (an edge is a change of a clock input from its value
 at the previous step), apply the new input values, settle combinational
 logic, fire the found blocks (reading pre-update register values), apply
 the collected updates, settle again, sample outputs.
+
+Settling is one pass over elaboration's topological `comb_order`. A unit
+that reads its own target (`CombUnit.self_read`) runs again until its
+targets stop changing, at most SETTLE_CAP times; its other inputs come
+earlier in the order, so they are already final.
 """
 
 from dataclasses import dataclass
@@ -91,7 +96,8 @@ def _compile_expr(e, widths):
     if isinstance(e, n.Slice):
         sf = _compile_expr(e.subject, widths)
         lo = const_value(e.lsb)
-        return lambda s: (sf(s) >> lo) & mask
+        sel = (1 << (const_value(e.msb) - lo + 1)) - 1
+        return lambda s: (sf(s) >> lo) & sel
     if isinstance(e, n.Concat):
         parts = [(_compile_expr(p, widths), widths[id(p)]) for p in e.parts]
         def concat(s):
@@ -188,6 +194,19 @@ def _compile_stmt(stmt, widths, signal_width, hooks):
     raise TypeError(f"cannot compile statement {stmt!r}")
 
 
+def _settle_loop(f, targets):
+    """fn(state) running a unit that reads its own target until the
+    targets stop changing."""
+    def settle(s):
+        for _ in range(SETTLE_CAP):
+            before = [s[t] for t in targets]
+            f(s)
+            if [s[t] for t in targets] == before:
+                return
+        raise SettleDivergence(f"no fixpoint after {SETTLE_CAP} iterations")
+    return settle
+
+
 class CompiledModule:
     """Closures for one module: `comb_fns` are fn(state) in settle order,
     `clocked` pairs each edge list with its body's fn(state, nxt), and
@@ -211,15 +230,16 @@ class CompiledModule:
         for u in em.comb_order:
             if u.kind == "block":
                 bf = stmt(u.node.body)
-                self.comb_fns.append(lambda s, bf=bf: bf(s, None))
-                continue
-            if u.kind == "init":
-                lhs, rhs = n.Ref(u.node.name), u.node.init
+                f = lambda s, bf=bf: bf(s, None)
             else:
-                lhs, rhs = u.node.lhs, u.node.rhs
-            rf = _compile_expr(rhs, widths)
-            wf = _compile_lhs_write(lhs, widths, signal_width)
-            self.comb_fns.append(lambda s, rf=rf, wf=wf: wf(s, s, rf(s)))
+                if u.kind == "init":
+                    lhs, rhs = n.Ref(u.node.name), u.node.init
+                else:
+                    lhs, rhs = u.node.lhs, u.node.rhs
+                rf = _compile_expr(rhs, widths)
+                wf = _compile_lhs_write(lhs, widths, signal_width)
+                f = lambda s, rf=rf, wf=wf: wf(s, s, rf(s))
+            self.comb_fns.append(_settle_loop(f, sorted(u.writes)) if u.self_read else f)
 
         self.clocked = []
         for b in em.blocks:
@@ -257,16 +277,8 @@ class SimInstance:
 
     def _settle(self):
         state = self.state
-        fns = self.cm.comb_fns
-        if not fns:
-            return
-        for _ in range(SETTLE_CAP):
-            snapshot = dict(state)
-            for f in fns:
-                f(state)
-            if state == snapshot:
-                return
-        raise SettleDivergence(f"no fixpoint after {SETTLE_CAP} iterations")
+        for f in self.cm.comb_fns:
+            f(state)
 
     def eval(self, inputs) -> dict:
         state = self.state

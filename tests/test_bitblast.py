@@ -355,3 +355,25 @@ def test_lowered_module_matches_the_interpreter():
         got = {name: _word((columns[lit] >> v) & 1 for lit in bits[name])
                for name in outs}
         assert got == inst.eval(plan.assign(v)), v
+
+
+def test_part_select_in_a_wider_context_zero_extends():
+    # x[3:0] is four bits wide wherever it is read; the 8-bit target
+    # zero-extends it rather than reading x's bits above the slice
+    ed = equiv._design(parse("""module s(input wire [7:0] x, output wire [7:0] y);
+    assign y = x[3:0];
+endmodule
+"""))
+    em = ed.top_module
+    net = bitblast.Netlist()
+    inputs = {"x": [net.input() for _ in range(8)]}
+    y = bitblast.lower_module(net, em, inputs)["y"]
+    tables = {lit >> 1: bitblast._pattern(i, 8) for i, lit in enumerate(inputs["x"])}
+    columns = net.evaluate(y, tables, (1 << 256) - 1)
+    rhs = em.folded.items[0].rhs
+    inst = instantiate(ed)
+    assert inst.eval({"x": 0xAB})["y"] == 0xB
+    for v in range(256):
+        assert _word((t >> v) & 1 for t in columns) == v & 0xF, v
+        assert evaluate(rhs, {"x": v}, em.widths) == v & 0xF, v
+        assert inst.eval({"x": v})["y"] == v & 0xF, v

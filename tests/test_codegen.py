@@ -14,9 +14,10 @@ from hypothesis import assume, given, settings, strategies as st
 from rtlmorph import bitblast, codegen, equiv, morph, nodes as n
 from rtlmorph.elaborate import elaborate
 from rtlmorph.equiv import NEGATIVE_KINDS, EquivConfig, negative_control
-from rtlmorph.errors import NoApplicableSite, WidthMismatch
+from rtlmorph.errors import NoApplicableSite, SettleDivergence, WidthMismatch
 from rtlmorph.evalexpr import annotate, evaluate
 from rtlmorph.parser import parse
+from rtlmorph.sim import instantiate
 
 from test_rewrite_stability import MUTANT_PAIRS
 from test_semantics import SIGNALS, _exprs, _module_for
@@ -179,6 +180,14 @@ module t(input wire a, output wire [1:0] y);
 endmodule
 """
 
+COMB_BITS = """
+module cb(input wire clk, input wire a, output reg [1:0] q);
+    reg [1:0] x;
+    always @(*) begin {body} end
+    always @(posedge clk) q <= x;
+endmodule
+"""
+
 
 @pytest.mark.parametrize("gold, other, clock_map, same", [
     (COUNTER.format(body="d"), COUNTER.format(body="d"), {}, True),
@@ -195,6 +204,10 @@ endmodule
     (CLOCK_READ.format(low="4'd0"), CLOCK_READ.format(low="d"), {}, True),
     (CHAIN.format(body="{x[0], a}"), CHAIN.format(body="{a, a}"), {}, True),
     (CHAIN.format(body="{x[0], a}"), CHAIN.format(body="{~a, a}"), {}, False),
+    (COMB_BITS.format(body="x[1] = x[0]; x[0] = a;"),
+     COMB_BITS.format(body="x = {a, a};"), {}, True),
+    (COMB_BITS.format(body="x[0] = a; x[1] = x[0];"),
+     COMB_BITS.format(body="x = {a, a};"), {}, True),
 ])
 def test_hand_written_trials_match_the_interpreter(gold, other, clock_map, same):
     a, b = parse(gold), parse(other)
@@ -204,9 +217,21 @@ def test_hand_written_trials_match_the_interpreter(gold, other, clock_map, same)
 
 def test_part_select_chain_keeps_the_fixpoint():
     em = equiv._design(parse(CHAIN.format(body="{x[0], a}"))).top_module
-    assert codegen._Design(em, "a", {}, codegen._Source()).fixpoint
+    assert any(u.self_read for u in em.comb_order)
     em = equiv._design(parse(CHAIN.format(body="{a, a}"))).top_module
-    assert not codegen._Design(em, "a", {}, codegen._Source()).fixpoint
+    assert not any(u.self_read for u in em.comb_order)
+
+
+def test_a_bit_that_never_settles_diverges_on_both_loops():
+    text = COMB_BITS.format(body="x[0] = ~x[0]; x[1] = a;")
+    with pytest.raises(SettleDivergence):
+        instantiate(parse(text))
+    # the probe raises first in a check, so the generated loop runs alone
+    ea = eb = equiv._design(parse(text))
+    plan, offsets = equiv._trials_plan(ea, eb, EquivConfig(**BUDGET))
+    run = codegen.trial_loop(ea, eb, plan, offsets)
+    with pytest.raises(SettleDivergence):
+        run(Random(0).getrandbits, *plan.storm(True))
 
 
 def test_probe_detections_compile_nothing(monkeypatch, corpus_modules):

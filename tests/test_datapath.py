@@ -171,8 +171,8 @@ def test_dead_arm_never_executes():
         inst.eval({"op": rng.randrange(4), "a": rng.randrange(256),
                    "b": rng.randrange(256)})
     assert hooks.counts, "the dead-branch if should be instrumented"
-    # comb settling re-confirms the fixpoint, so `then` fires at least once
-    # per eval; the dead arm must never fire at all
+    # every settle runs the block once, so `then` fires at least once per
+    # eval; the dead arm must never fire at all
     for label, (then_c, else_c) in hooks.counts.items():
         assert then_c >= 1000 and else_c == 0, label
 
