@@ -19,10 +19,9 @@ table after its last reader.
 The lowering declines what a table cannot stand for (`Declined`): a
 combinational block that leaves a target bit unassigned on some path, or
 reads one before assigning it (the value would come from an earlier
-vector: latch-style state), a part-select assign that reads its own base
-(`CombUnit.self_read`: the simulators iterate it to a fixpoint), and a
-nonblocking assign in a combinational block (the interpreter fails when
-it runs).
+vector: latch-style state). A part-select assign that reads its own base
+is lowered in the number of runs elaboration fixed for it
+(`CombUnit.passes`, from `settle_passes`), starting from zeros.
 """
 
 from . import nodes as n
@@ -283,11 +282,9 @@ class _Lowering:
                     sum(0 <= v < 1 << len(subject) for v in values) == 1 << len(subject):
                 arms[-1] = (1, arms[-1][1])
             self.case(arms, s.default)
-        elif isinstance(s, n.BlockingAssign):
+        elif isinstance(s, (n.BlockingAssign, n.NonblockingAssign)):
             target = self.local[n.lvalue_base(s.lhs)]
             self.write(target, s.lhs, self.expr(s.rhs))
-        elif isinstance(s, n.NonblockingAssign):
-            raise Declined("nonblocking assign in a combinational block")
         else:
             raise TypeError(f"cannot lower statement {s!r}")
 
@@ -333,8 +330,8 @@ def may_hold_state(em):
             return True
         if u.kind == "block":
             body = u.node.body
-            if any(isinstance(s, n.NonblockingAssign) or isinstance(s, n.BlockingAssign)
-                   and not isinstance(s.lhs, n.Ref) for s in n.walk_stmts(body)):
+            if any(isinstance(s, n.BlockingAssign) and not isinstance(s.lhs, n.Ref)
+                   for s in n.walk_stmts(body)):
                 return True
             if not all(_covers(body, t, subject_width) for t in u.writes):
                 return True
@@ -343,38 +340,25 @@ def may_hold_state(em):
 
 def lower_module(net, em, inputs):
     """Every signal of an elaborated combinational module as bits of
-    `net`; `inputs` maps each input port to its literals. Raises Declined.
-    A unit declined for a reason other than state leaves its targets as
-    fresh inputs, so a later unit that holds state is still found."""
+    `net`; `inputs` maps each input port to its literals. Raises Declined
+    on latch-style state."""
     bits = {name: inputs[name] if s.kind == "input" else [0] * s.width
             for name, s in em.signals.items()}
     low = _Lowering(net, em.widths, bits)
-    declined = None
     for u in em.comb_order:
-        try:
-            if u.kind == "init":
-                bits[u.node.name] = low.expr(u.node.init)
-            elif u.kind == "assign":
-                if u.self_read:
-                    raise Declined("a part-select assign reads its own base")
+        if u.kind == "init":
+            bits[u.node.name] = low.expr(u.node.init)
+        elif u.kind == "assign":
+            for _ in range(u.passes):
                 target = [_HELD] * em.signals[u.target_hint].width
                 low.write(target, u.node.lhs, low.expr(u.node.rhs))
                 bits[u.target_hint] = _settled(u.target_hint, target)
-            else:
-                low.local = {t: [_HELD] * em.signals[t].width for t in sorted(u.writes)}
-                low.stmt(u.node.body)
-                for t, target in low.local.items():
-                    bits[t] = _settled(t, target)
-                low.local = {}
-        except Declined as e:
-            if e.stateful:
-                raise
+        else:
+            low.local = {t: [_HELD] * em.signals[t].width for t in sorted(u.writes)}
+            low.stmt(u.node.body)
+            for t, target in low.local.items():
+                bits[t] = _settled(t, target)
             low.local = {}
-            declined = declined or e
-            for t in u.writes:
-                bits[t] = [net.input() for _ in range(em.signals[t].width)]
-    if declined is not None:
-        raise declined
     return bits
 
 
@@ -414,17 +398,8 @@ class Miter:
         net = self.net = Netlist()
         inputs = {name: [net.input() for _ in range(w)] for name, w in ins}
         self.variables = [lit for name, _ in ins for lit in inputs[name]]
-        outs, declined = [], None
-        for ed in (ea, eb):
-            try:
-                outs.append(lower_module(net, ed.top_module, inputs))
-            except Declined as e:
-                if e.stateful:
-                    raise
-                declined = e  # the other design may still hold state
-        if declined is not None:
-            raise declined
-        self.outs_a, self.outs_b = outs
+        self.outs_a, self.outs_b = (lower_module(net, ed.top_module, inputs)
+                                    for ed in (ea, eb))
         self.diffs = [(name, _any(net, [net.xor(a, b) for a, b in
                                         zip(self.outs_a[name], self.outs_b[name])]))
                       for name in out_names]
@@ -479,27 +454,55 @@ def tautology(pred, support, width_of):
     return net.evaluate(out, tables, full) == [full] + [0] * (len(out) - 1)
 
 
-def bit_loop(assign, widths, width_of):
-    """True when a part-select assign that reads its own base makes a bit
-    of it depend on itself, directly or through its other bits."""
+class _Passes(_Lowering):
+    """One unit lowered over free variables, its targets' bits included;
+    `reads` maps each target bit to the variables that its writes' values,
+    indices and enclosing branch conditions read."""
+
+    def __init__(self, net, widths, bits, targets):
+        super().__init__(net, widths, bits)
+        self.local = {t: list(bits[t]) for t in targets}
+        self.reads = {(t, j): set() for t in targets for j in range(len(bits[t]))}
+        self.conds = []
+
+    def write(self, target, lhs, value):
+        base = n.lvalue_base(lhs)
+        for j, hit, v in self.writes(lhs, value, len(target)):
+            self.reads[base, j] |= self.g.support([hit, v] + self.conds)
+            target[j] = _merge(self.g, hit, v, target[j])
+
+    def branch(self, cond, then, otherwise):
+        self.conds.append(cond)
+        super().branch(cond, then, otherwise)
+        self.conds.pop()
+
+
+def settle_passes(item, targets, widths, width_of):
+    """How many runs of a combinational unit (a part-select assign or a
+    combinational block) settle its targets from any state they start in,
+    or None when a target bit depends on itself. A bit settles in the run
+    after every target bit it reads, as the previous run left it, has
+    settled; a path that leaves a bit unwritten keeps its settled value,
+    so the count is 1 plus the longest chain of such reads."""
+    if isinstance(item, n.ContinuousAssign):
+        exprs = [item.lhs, item.rhs]
+    else:
+        exprs = [e for s in n.walk_stmts(item.body) for e in n.stmt_exprs(s)]
     net = Netlist()
-    base = n.lvalue_base(assign.lhs)
-    bits = {name: [net.input() for _ in range(width_of(name))]
-            for name in sorted(n.refs_in(assign.rhs) | n.refs_in(assign.lhs))}
-    own = {lit >> 1: j for j, lit in enumerate(bits[base])}
-    low = _Lowering(net, widths, bits)
-    deps = [set() for _ in bits[base]]
-    for j, hit, v in low.writes(assign.lhs, low.expr(assign.rhs), len(deps)):
-        deps[j] |= {own[x] for x in net.support([hit, v]) if x in own}
-    # a cycle among the bits: depth-first search with three colours
-    state = [0] * len(deps)
-
-    def cyclic(j):
-        state[j] = 1
-        for k in deps[j]:
-            if state[k] == 1 or state[k] == 0 and cyclic(k):
-                return True
-        state[j] = 2
-        return False
-
-    return any(state[j] == 0 and cyclic(j) for j in range(len(deps)))
+    names = sorted(set(targets).union(*map(n.refs_in, exprs)))
+    bits = {name: [net.input() for _ in range(width_of(name))] for name in names}
+    low = _Passes(net, widths, bits, targets)
+    if isinstance(item, n.ContinuousAssign):
+        low.write(low.local[targets[0]], item.lhs, low.expr(item.rhs))
+    else:
+        low.stmt(item.body)
+    own = {lit >> 1: (t, j) for t in targets for j, lit in enumerate(bits[t])}
+    deps = {b: {own[x] for x in support if x in own} for b, support in low.reads.items()}
+    passes, settled = 0, set()
+    while len(settled) < len(deps):
+        now = {b for b, d in deps.items() if b not in settled and d <= settled}
+        if not now:
+            return None
+        settled |= now
+        passes += 1
+    return passes

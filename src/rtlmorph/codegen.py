@@ -6,9 +6,9 @@ signal of both held in a local variable, and `compile()`s it. This is
 levelized compiled-code simulation (Wang et al., "SSIM: A Software
 Levelized Compiled-Code Simulator", DAC 1987): elaboration's `comb_order`
 is topological, so one pass over the combinational units settles a design.
-A unit that reads its own target (`CombUnit.self_read`) runs in a local
-loop until its targets stop changing, capped at `SETTLE_CAP` as in the
-interpreter.
+Each unit is emitted the number of times elaboration fixed for it
+(`CombUnit.passes`), as the interpreter runs it; no emitted code loops
+around a unit.
 
 Each step follows `sim.SimInstance.eval`, the reference the function is
 tested against: find the clocked blocks whose edge lists see a
@@ -28,9 +28,7 @@ from itertools import count
 
 from . import nodes as n
 from . import ops
-from .errors import SettleDivergence
 from .evalexpr import const_value
-from .sim import SETTLE_CAP
 
 
 class _Source:
@@ -57,14 +55,14 @@ class _Source:
             self("pass")
         self.depth -= 1
 
-    def compile(self, name, env):
+    def compile(self, name):
         """The function `name` defined by the lines, or None when Python
         cannot compile them (nesting beyond the parser's limits)."""
         try:
             code = compile("\n".join(self.lines) + "\n", f"<{name}>", "exec")
         except (SyntaxError, RecursionError):
             return None
-        ns = dict(env)
+        ns = {}
         exec(code, ns)
         return ns[name]
 
@@ -87,12 +85,6 @@ class _Design:
         self.local = {name: input_locals.get(name, f"{prefix}_{i}")
                       for i, name in enumerate(em.signals)}
         self.clocked = _clocked_items(em)
-
-    def simulatable(self):
-        """A nonblocking assign in a combinational block fails in the
-        interpreter when it runs; such designs stay there."""
-        return not any(_writes(u.node.body, n.NonblockingAssign)
-                       for u in self.em.comb_order if u.kind == "block")
 
     # --- expressions -------------------------------------------------------
 
@@ -213,27 +205,14 @@ class _Design:
     # --- settle and clocked blocks ------------------------------------------
 
     def settle(self):
-        src = self.src
         for u in self.em.comb_order:
-            if not u.self_read:
-                self._unit(u)
-                continue
-            targets = f"({', '.join(self.local[t] for t in sorted(u.writes))},)"
-            with src.block("for _ in range(SETTLE_CAP):"):
-                src(f"snap = {targets}")
-                self._unit(u)
-                with src.block(f"if {targets} == snap:"):
-                    src("break")
-            with src.block("else:"):
-                src('raise SettleDivergence(f"no fixpoint after {SETTLE_CAP} iterations")')
-
-    def _unit(self, u):
-        if u.kind == "block":
-            self.stmt(u.node.body)
-        elif u.kind == "init":
-            self.src(f"{self.local[u.node.name]} = {self.expr(u.node.init)}")
-        else:
-            self.write(u.node.lhs, self.expr(u.node.rhs))
+            for _ in range(u.passes):
+                if u.kind == "block":
+                    self.stmt(u.node.body)
+                elif u.kind == "init":
+                    self.src(f"{self.local[u.node.name]} = {self.expr(u.node.init)}")
+                else:
+                    self.write(u.node.lhs, self.expr(u.node.rhs))
 
     def reads_any(self, names):
         return any(u.reads & names for u in self.em.comb_order)
@@ -318,8 +297,6 @@ def trial_loop(ea, eb, plan, offsets):
         inputs[e] = f"ex_{i}"
     da = _Design(ma, "a", inputs, src)
     db = _Design(mb, "b", inputs, src)
-    if not (da.simulatable() and db.simulatable()):
-        return None
 
     clocks = set(plan.clocks)
     copy_of = dict(extras)
@@ -418,5 +395,4 @@ def trial_loop(ea, eb, plan, offsets):
                     with src.block(f"if {test}:"):
                         src(f"return t, {name!r}, {k}, {expected}, {b}")
         src("return None")
-    return src.compile("trial", {"SETTLE_CAP": SETTLE_CAP,
-                                 "SettleDivergence": SettleDivergence})
+    return src.compile("trial")

@@ -68,9 +68,10 @@ class CombUnit:
     reads: frozenset
     writes: frozenset
     node: object  # ContinuousAssign | NetDecl | ProcBlock
-    # a part-select write reads its own base: that read orders nothing, and
-    # the unit settles by iterating to a fixpoint of its own targets
-    self_read: bool = False
+    # runs that settle the unit whatever its targets held: more than one
+    # when it reads a bit of a signal it writes through a part-select, a
+    # read that orders nothing between units (`bitblast.settle_passes`)
+    passes: int = 1
 
 
 @dataclass
@@ -195,23 +196,23 @@ def _storage_kind(m: n.ModuleDecl, signals, name):
     return signals[name].kind
 
 
-def _reads_of_stmt(s, written, dropped):
+def _reads_of_stmt(s, written):
     """Names read by a statement, ignoring reads of names already written
-    earlier in straight-line order (blocking-assign data flow). A
-    part-select write that reads its own base adds the base to `dropped`
-    instead of the reads."""
+    whole earlier in straight-line order (blocking-assign data flow). A
+    part-select write leaves its base unwritten, so a later read of it
+    counts; the caller settles reads of a unit's own targets."""
     reads = set()
     if isinstance(s, n.Block):
         for c in s.stmts:
-            reads |= _reads_of_stmt(c, written, dropped)
+            reads |= _reads_of_stmt(c, written)
         return reads
     if isinstance(s, n.If):
         reads |= n.refs_in(s.cond) - written
         w_then = set(written)
-        reads |= _reads_of_stmt(s.then_stmt, w_then, dropped)
+        reads |= _reads_of_stmt(s.then_stmt, w_then)
         w_else = set(written)
         if s.else_stmt is not None:
-            reads |= _reads_of_stmt(s.else_stmt, w_else, dropped)
+            reads |= _reads_of_stmt(s.else_stmt, w_else)
         written |= (w_then & w_else)
         return reads
     if isinstance(s, n.Case):
@@ -221,11 +222,11 @@ def _reads_of_stmt(s, written, dropped):
             for l in arm.labels:
                 reads |= n.refs_in(l) - written
             w = set(written)
-            reads |= _reads_of_stmt(arm.body, w, dropped)
+            reads |= _reads_of_stmt(arm.body, w)
             branch_written.append(w)
         if s.default is not None:
             w = set(written)
-            reads |= _reads_of_stmt(s.default, w, dropped)
+            reads |= _reads_of_stmt(s.default, w)
             branch_written.append(w)
         else:
             branch_written.append(set(written))  # fall-through path writes nothing
@@ -237,14 +238,28 @@ def _reads_of_stmt(s, written, dropped):
         if isinstance(s.lhs, (n.Index, n.Slice)):
             for e in n.expr_children(s.lhs)[1:]:
                 reads |= n.refs_in(e) - written
-            base = n.lvalue_base(s.lhs)
-            if base in reads:
-                reads.discard(base)
-                dropped.add(base)
         if isinstance(s, n.BlockingAssign) and isinstance(s.lhs, n.Ref):
             written.add(s.lhs.name)
         return reads
     return reads
+
+
+def _settle(item, reads, targets, widths, width_of):
+    """A unit's reads without the signals it writes through a part-select,
+    and the runs that settle it; a bit that reads itself is a loop."""
+    own = reads & targets
+    if own:
+        assigns = [item] if isinstance(item, n.ContinuousAssign) else [
+            a for a in n.walk_stmts(item.body)
+            if isinstance(a, (n.BlockingAssign, n.NonblockingAssign))]
+        own &= {n.lvalue_base(a.lhs) for a in assigns if not isinstance(a.lhs, n.Ref)}
+    if not own:
+        return frozenset(reads), 1
+    from . import bitblast  # imported on first use
+    passes = bitblast.settle_passes(item, sorted(targets), widths, width_of)
+    if passes is None:
+        raise CombinationalLoop(sorted(own))
+    return frozenset(reads - own), passes
 
 
 def _annotate_stmt(s, width_of, widths):
@@ -329,25 +344,15 @@ def _elaborate_module(m: n.ModuleDecl, unit: n.SourceUnit):
             ev.annotate(item.rhs, width_of, widths, lw)
             add_driver(base, f"assign#{idx}")
             reads = n.refs_in(item.rhs)
-            self_read = False
-            if isinstance(item.lhs, (n.Index, n.Slice)):
-                for e in n.expr_children(item.lhs)[1:]:
-                    reads |= n.refs_in(e)
-                if base in reads:
-                    # a read of the written signal orders nothing between
-                    # units; its bits must not form a loop among themselves
-                    from . import bitblast
-                    if bitblast.bit_loop(item, widths, width_of):
-                        raise CombinationalLoop([base])
-                    reads.discard(base)
-                    self_read = True
-            comb_units.append(CombUnit("assign", idx, base, frozenset(reads),
-                                       frozenset([base]), item, self_read))
+            for e in n.expr_children(item.lhs)[1:]:
+                reads |= n.refs_in(e)
+            reads, passes = _settle(item, reads, {base}, widths, width_of)
+            comb_units.append(CombUnit("assign", idx, base, reads,
+                                       frozenset([base]), item, passes))
         elif isinstance(item, n.ProcBlock):
             _annotate_stmt(item.body, width_of, widths)
             writes = n.assigned_names(item.body)
-            dropped = set()
-            reads = _reads_of_stmt(item.body, set(), dropped)
+            reads = _reads_of_stmt(item.body, set())
             for w in writes:
                 if signals[w].kind == "input":
                     raise IllegalAssignment(f"process assigns input port {w}")
@@ -370,13 +375,12 @@ def _elaborate_module(m: n.ModuleDecl, unit: n.SourceUnit):
                     if _storage_kind(folded, signals, w) != "reg":
                         raise IllegalAssignment(f"combinational block assigns non-reg {w}")
                     add_driver(w, f"block#{idx}")
-                em.blocks.append(BlockInfo(idx, "comb", (), (),
-                                           frozenset(reads), frozenset(writes)))
+                reads, passes = _settle(item, reads, writes, widths, width_of)
+                em.blocks.append(BlockInfo(idx, "comb", (), (), reads, frozenset(writes)))
                 comb_units.append(CombUnit("block", idx, ",".join(sorted(writes)),
-                                           frozenset(reads), frozenset(writes), item,
-                                           bool(dropped)))
+                                           reads, frozenset(writes), item, passes))
         elif isinstance(item, n.InstanceDecl):
-            _check_instance(item, unit, signals, width_of, widths)
+            _check_instance(item, unit, width_of, widths)
         else:
             raise TypeError(f"unexpected item {item!r}")
 
@@ -403,7 +407,7 @@ def _classify_edges(block: n.ProcBlock):
     return clocks, resets
 
 
-def _check_instance(item, unit, signals, width_of, widths):
+def _check_instance(item, unit, width_of, widths):
     target = unit.module(item.module_name) if unit else None
     for pname, e in item.connections:
         ev.annotate(e, width_of, widths)
@@ -454,7 +458,7 @@ def _order_comb_units(units):
 
 
 def elaborate(unit, top=None) -> ElaboratedDesign:
-    """Elaborate a SourceUnit (or single module) into simulatable form."""
+    """Elaborate a SourceUnit (or single module) into the form the simulators run."""
     if isinstance(unit, n.ModuleDecl):
         unit = n.SourceUnit((unit,), source_name="<module>")
     modules = {}

@@ -61,10 +61,6 @@ class NoSuchModule(RtlmorphError):
     pass
 
 
-class SettleDivergence(RtlmorphError):
-    """Combinational settling did not reach a fixpoint within the cap."""
-
-
 # --- mutation ------------------------------------------------------------
 
 class MutationError(RtlmorphError):

@@ -625,7 +625,7 @@ def _state_literal(value, width):
     return n.Literal(value, width, base="b")
 
 
-def _synth_arm(state: StateNode, fsm, width, counter_width):
+def _synth_arm(state: StateNode, fsm, counter_width):
     recipe = state.synthesized
     name_to_expr = {s.name: s.label_expr for s in fsm.states}
     stmts = list(state.actions)
@@ -674,7 +674,7 @@ def lower(fsm: FsmModel, force: bool = False) -> n.ModuleDecl:
     arms = []
     for s in fsm.states:
         body = s.arm_body if s.synthesized is None else \
-            _synth_arm(s, fsm, width, counter_width)
+            _synth_arm(s, fsm, counter_width)
         arms.append(n.CaseArm((s.label_expr,), body))
     case = n.Case(n.Ref(fsm.state_reg), tuple(arms), None)
     main = n.Block(fsm.pre_case + (case,)) if fsm.pre_case else n.Block((case,))

@@ -13,10 +13,11 @@ at the previous step), apply the new input values, settle combinational
 logic, fire the found blocks (reading pre-update register values), apply
 the collected updates, settle again, sample outputs.
 
-Settling is one pass over elaboration's topological `comb_order`. A unit
-that reads its own target (`CombUnit.self_read`) runs again until its
-targets stop changing, at most SETTLE_CAP times; its other inputs come
-earlier in the order, so they are already final.
+Settling is one pass over elaboration's topological `comb_order`, each
+unit run the number of times elaboration fixed for it (`CombUnit.passes`,
+more than once only for a unit that reads bits it writes through a
+part-select); its other inputs come earlier in the order, so they are
+already final. Nothing checks at run time that a unit has settled.
 """
 
 from dataclasses import dataclass
@@ -24,10 +25,8 @@ from dataclasses import dataclass
 from . import nodes as n
 from . import ops
 from .elaborate import ElaboratedDesign, ElaboratedModule, elaborate
-from .errors import NoSuchModule, RtlmorphError, SettleDivergence, UnsupportedConstruct
+from .errors import NoSuchModule, RtlmorphError, UnsupportedConstruct
 from .evalexpr import const_value
-
-SETTLE_CAP = 10_000
 
 
 @dataclass(frozen=True)
@@ -194,19 +193,6 @@ def _compile_stmt(stmt, widths, signal_width, hooks):
     raise TypeError(f"cannot compile statement {stmt!r}")
 
 
-def _settle_loop(f, targets):
-    """fn(state) running a unit that reads its own target until the
-    targets stop changing."""
-    def settle(s):
-        for _ in range(SETTLE_CAP):
-            before = [s[t] for t in targets]
-            f(s)
-            if [s[t] for t in targets] == before:
-                return
-        raise SettleDivergence(f"no fixpoint after {SETTLE_CAP} iterations")
-    return settle
-
-
 class CompiledModule:
     """Closures for one module: `comb_fns` are fn(state) in settle order,
     `clocked` pairs each edge list with its body's fn(state, nxt), and
@@ -217,7 +203,7 @@ class CompiledModule:
         for item in folded.items:
             if isinstance(item, n.InstanceDecl):
                 raise UnsupportedConstruct(
-                    "module instances are not simulatable in-process")
+                    "module instances cannot be simulated in-process")
         widths = em.widths
         signal_width = lambda name: em.signals[name].width
         stmt = lambda body: _compile_stmt(body, widths, signal_width, hooks)
@@ -229,6 +215,9 @@ class CompiledModule:
         self.comb_fns = []
         for u in em.comb_order:
             if u.kind == "block":
+                if any(isinstance(s, n.NonblockingAssign) for s in n.walk_stmts(u.node.body)):
+                    raise UnsupportedConstruct(
+                        "nonblocking assign in a combinational block")
                 bf = stmt(u.node.body)
                 f = lambda s, bf=bf: bf(s, None)
             else:
@@ -239,7 +228,7 @@ class CompiledModule:
                 rf = _compile_expr(rhs, widths)
                 wf = _compile_lhs_write(lhs, widths, signal_width)
                 f = lambda s, rf=rf, wf=wf: wf(s, s, rf(s))
-            self.comb_fns.append(_settle_loop(f, sorted(u.writes)) if u.self_read else f)
+            self.comb_fns.extend([f] * u.passes)
 
         self.clocked = []
         for b in em.blocks:

@@ -149,6 +149,20 @@ def test_run_requires_manifest_or_fixture(tmp_path):
     assert r.returncode == 1
 
 
+def test_verify_rejects_a_nonblocking_assign_in_a_combinational_block(tmp_path):
+    for body in ("y <= a;", "begin x[0] <= a; x[1] = x[0]; y = x[1]; end"):
+        src = tmp_path / "nba.v"
+        src.write_text("module t(input wire a, output reg y);\nreg [1:0] x;\n"
+                       f"always @(*) {body}\nendmodule\n")
+        r = cli("verify", str(src), str(src))
+        assert r.returncode == 1, (body, r.stderr)
+        assert "cannot compare: unsupported construct: nonblocking assign" in r.stderr, \
+            (body, r.stderr)
+        assert "Traceback" not in r.stderr
+        r = cli("lint", str(src))
+        assert "nonblocking-in-comb" in r.stdout, (body, r.stdout)
+
+
 def test_lint_subcommand(tmp_path):
     r = cli("lint", design_path("counter"))
     assert r.returncode == 0 and r.stdout.strip() == ""

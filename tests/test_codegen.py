@@ -14,10 +14,11 @@ from hypothesis import assume, given, settings, strategies as st
 from rtlmorph import bitblast, codegen, equiv, morph, nodes as n
 from rtlmorph.elaborate import elaborate
 from rtlmorph.equiv import NEGATIVE_KINDS, EquivConfig, negative_control
-from rtlmorph.errors import NoApplicableSite, SettleDivergence, WidthMismatch
+from rtlmorph.errors import (
+    CombinationalLoop, NoApplicableSite, UnsupportedConstruct, WidthMismatch,
+)
 from rtlmorph.evalexpr import annotate, evaluate
 from rtlmorph.parser import parse
-from rtlmorph.sim import instantiate
 
 from test_rewrite_stability import MUTANT_PAIRS
 from test_semantics import SIGNALS, _exprs, _module_for
@@ -188,6 +189,13 @@ module cb(input wire clk, input wire a, output reg [1:0] q);
 endmodule
 """
 
+PART_READ = """
+module pr(input wire a, input wire b, output reg y);
+    reg [1:0] x;
+    always @(*) begin x[0] = a; x[1] = b; y = {read}; end
+endmodule
+"""
+
 
 @pytest.mark.parametrize("gold, other, clock_map, same", [
     (COUNTER.format(body="d"), COUNTER.format(body="d"), {}, True),
@@ -208,6 +216,8 @@ endmodule
      COMB_BITS.format(body="x = {a, a};"), {}, True),
     (COMB_BITS.format(body="x[0] = a; x[1] = x[0];"),
      COMB_BITS.format(body="x = {a, a};"), {}, True),
+    (PART_READ.format(read="x[0]"), PART_READ.format(read="a"), {}, True),
+    (PART_READ.format(read="x[0]"), PART_READ.format(read="b"), {}, False),
 ])
 def test_hand_written_trials_match_the_interpreter(gold, other, clock_map, same):
     a, b = parse(gold), parse(other)
@@ -217,21 +227,15 @@ def test_hand_written_trials_match_the_interpreter(gold, other, clock_map, same)
 
 def test_part_select_chain_keeps_the_fixpoint():
     em = equiv._design(parse(CHAIN.format(body="{x[0], a}"))).top_module
-    assert any(u.self_read for u in em.comb_order)
+    assert [u.passes for u in em.comb_order] == [2, 1]
     em = equiv._design(parse(CHAIN.format(body="{a, a}"))).top_module
-    assert not any(u.self_read for u in em.comb_order)
+    assert [u.passes for u in em.comb_order] == [1, 1]
 
 
-def test_a_bit_that_never_settles_diverges_on_both_loops():
+def test_a_bit_that_reads_itself_is_rejected_at_elaboration():
     text = COMB_BITS.format(body="x[0] = ~x[0]; x[1] = a;")
-    with pytest.raises(SettleDivergence):
-        instantiate(parse(text))
-    # the probe raises first in a check, so the generated loop runs alone
-    ea = eb = equiv._design(parse(text))
-    plan, offsets = equiv._trials_plan(ea, eb, EquivConfig(**BUDGET))
-    run = codegen.trial_loop(ea, eb, plan, offsets)
-    with pytest.raises(SettleDivergence):
-        run(Random(0).getrandbits, *plan.storm(True))
+    with pytest.raises(CombinationalLoop):
+        equiv._design(parse(text))
 
 
 def test_probe_detections_compile_nothing(monkeypatch, corpus_modules):
@@ -289,14 +293,10 @@ def test_pairs_the_generator_declines_stay_on_the_interpreter(monkeypatch):
 
 
 def test_nonblocking_assign_in_a_combinational_block_fails_as_in_the_interpreter():
-    # the interpreter fails when the assign runs, here only on d == 200,
-    # which the probe does not draw
+    # rejected when the interpreter compiles the module, before any step
+    # (here the assign would run only on d == 200, which the probe does
+    # not draw), so the generated loop is never built
     m = parse("module m(input wire clk, input wire [7:0] d, output reg [7:0] q);"
               " always @(*) if (d == 8'd200) q <= d; else q = 8'd0; endmodule")
-    ea = equiv._design(m)
-    plan, offsets = equiv._trials_plan(ea, ea, EquivConfig(**BUDGET))
-    assert codegen.trial_loop(ea, ea, plan, offsets) is None
-    assert equiv._trial_interpreted(ea, ea, plan, offsets, equiv._mix(0, "trial", 0),
-                                    True, equiv.PROBE) is None
-    with pytest.raises(AttributeError):
+    with pytest.raises(UnsupportedConstruct):
         equiv.check_seq_random(m, m, EquivConfig(**BUDGET))

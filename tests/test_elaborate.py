@@ -117,6 +117,18 @@ def test_combinational_loop():
         elaborate(unit)
 
 
+def test_block_reads_a_signal_after_writing_its_bits():
+    # y reads the x[0] that this run of the block wrote: no loop, one run
+    d = elaborate(parse("module t(input wire a, input wire b, output reg y);\n"
+                        "reg [1:0] x;\n"
+                        "always @(*) begin x[0] = a; x[1] = b; y = x[0]; end\n"
+                        "endmodule"))
+    assert [u.passes for u in d.top_module.comb_order] == [1]
+    inst = instantiate(d)
+    for a, b in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        assert inst.eval({"a": a, "b": b})["y"] == a
+
+
 def test_lint_counter_clean():
     assert lint_synthesizable(elaborate(parse(design_text("counter")))) == []
 
